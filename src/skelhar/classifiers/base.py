@@ -137,5 +137,10 @@ class TrainedModel:
         """
         raise NotImplementedError
 
+    def predict_with_scores(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(predict(rows), decision_scores(rows)); families that derive both
+        from one pass over the rows override it."""
+        return self.predict(rows), self.decision_scores(rows)
+
     def to_json_dict(self) -> dict:
         raise NotImplementedError

@@ -26,43 +26,33 @@ class FineKnnModel(TrainedModel):
         self.train_x = train_x
         self.train_y = train_y
 
-    def predict(self, rows: np.ndarray) -> np.ndarray:
+    def _vote_counts(self, rows: np.ndarray) -> np.ndarray:
+        """(n_rows, n_classes) count of each class among the k nearest."""
         rows = self._check_rows(rows, self.train_x.shape[1])
         k = self.spec.k
         train_sq = np.einsum("ij,ij->i", self.train_x, self.train_x)
         label_idx = np.searchsorted(self.class_set, self.train_y)
-
-        out = np.empty(rows.shape[0], dtype=np.int64)
+        counts = np.zeros((rows.shape[0], len(self.class_set)))
         for start in range(0, rows.shape[0], _CHUNK):
             q = rows[start:start + _CHUNK]
             d2 = train_sq[None, :] - 2.0 * (q @ self.train_x.T)
             d2 += np.einsum("ij,ij->i", q, q)[:, None]
             if k == 1:
-                nearest = np.argmin(d2, axis=1)  # first minimum = lowest index
-                out[start:start + q.shape[0]] = self.train_y[nearest]
+                nearest = np.argmin(d2, axis=1)[:, None]  # first minimum = lowest index
             else:
-                order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-                for i in range(q.shape[0]):
-                    votes = np.bincount(label_idx[order[i]], minlength=len(self.class_set))
-                    out[start + i] = self.class_set[int(np.argmax(votes))]
-        return out
+                nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            block = counts[start:start + q.shape[0]]
+            for col in label_idx[nearest].T:
+                block[np.arange(q.shape[0]), col] += 1
+        return counts
+
+    def predict(self, rows: np.ndarray) -> np.ndarray:
+        # argmax picks the first maximum: vote ties go to the smallest label
+        return self.class_set[np.argmax(self._vote_counts(rows), axis=1)]
 
     def decision_scores(self, rows: np.ndarray) -> np.ndarray:
         """Share of the k nearest neighbors per class."""
-        rows = self._check_rows(rows, self.train_x.shape[1])
-        k = self.spec.k
-        train_sq = np.einsum("ij,ij->i", self.train_x, self.train_x)
-        label_idx = np.searchsorted(self.class_set, self.train_y)
-        scores = np.empty((rows.shape[0], len(self.class_set)))
-        for start in range(0, rows.shape[0], _CHUNK):
-            q = rows[start:start + _CHUNK]
-            d2 = train_sq[None, :] - 2.0 * (q @ self.train_x.T)
-            d2 += np.einsum("ij,ij->i", q, q)[:, None]
-            order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            for i in range(q.shape[0]):
-                votes = np.bincount(label_idx[order[i]], minlength=len(self.class_set))
-                scores[start + i] = votes / k
-        return scores
+        return self._vote_counts(rows) / self.spec.k
 
     def to_json_dict(self) -> dict:
         return {

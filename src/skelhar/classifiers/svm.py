@@ -1,10 +1,24 @@
 """Cubic-kernel support vector machine trained by sequential minimal optimization.
 
-Binary subproblems follow Platt's SMO with a full error cache, except that
-the heuristic random starting points are replaced by fixed index order, so
-training is deterministic. Multiclass uses one-vs-one voting over all label
-pairs. Features are z-scored inside the model (fitted on the training set)
-to keep the polynomial kernel numerically tame.
+Each binary subproblem minimizes the dual 1/2 a'Qa - e'a subject to
+0 <= a_t <= C and y'a = 0, with Q_st = y_s y_t K(x_s, x_t), on the pair's
+precomputed Gram matrix. Every SMO step picks its working pair by the
+second-order rule of Fan, Chen & Lin (JMLR 2005), as LIBSVM does: i
+maximizes -y_t G_t over the multipliers that may move up, and j minimizes
+-b^2/a over those that may move down, where G is the gradient, b the gain
+in -yG and a the curvature of the pair. The pair update is clipped the way
+LIBSVM clips it, so every multiplier stays in [0, C] exactly. Ties go to
+the first index, so training is deterministic. Training stops once the
+largest -yG over the up set exceeds the smallest over the down set by less
+than the tolerance; every KKT residual of `BinarySvm.kkt_residuals` is then
+below the tolerance, up to rounding in G. The bias is -rho, with rho the
+mean of y_t G_t over the free multipliers, or the midpoint of the two
+extremes when none is free.
+
+Multiclass uses one-vs-one voting over all label pairs. Features are
+z-scored inside the model (fitted on the training set) to keep the
+polynomial kernel numerically tame. A machine stores every row of its two
+classes, but scores a query only against its support vectors (a > 0).
 """
 
 from __future__ import annotations
@@ -16,14 +30,18 @@ import numpy as np
 from .base import CubicSvmSpec, TrainedModel, validate_training_data
 
 _EPS = 1e-12
-# heavily overlapping classes need thousands of (cheap) non-bound sweeps;
-# the cap only guards against genuine pathologies
-_MAX_SWEEPS = 100_000
+# curvature used for a pair whose kernel direction is flat (LIBSVM's TAU)
+_TAU = 1e-12
+# the second-order rule converges in finitely many steps; the cap only
+# guards against genuine pathologies
+_MAX_STEPS = 1_000_000
 
 
 def cubic_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """K(x, y) = (1 + x.y)^3, evaluated blockwise."""
-    return (1.0 + a @ b.T) ** 3
+    k = 1.0 + a @ b.T
+    # two multiplies: ** 3 goes through libm pow for every element
+    return k * k * k
 
 
 def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float) -> tuple[np.ndarray, float]:
@@ -33,102 +51,73 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float) -> tuple[np.ndarray
     """
     n = len(y)
     alpha = np.zeros(n)
-    b = 0.0
-    # errors[i] = f(x_i) - y_i, kept exact after every step
-    errors = -y.astype(np.float64)
+    grad = -np.ones(n)  # G = Q alpha - e, updated after every step
+    diag = np.diag(k).copy()
+    pos = y > 0
+    # I_up: multipliers that may grow along y; I_low: that may shrink
+    up = pos.copy()
+    low = ~pos
 
-    def take_step(i1: int, i2: int) -> bool:
-        nonlocal b
-        if i1 == i2:
-            return False
-        a1, a2 = alpha[i1], alpha[i2]
-        y1, y2 = y[i1], y[i2]
-        e1, e2 = errors[i1], errors[i2]
-        s = y1 * y2
-        if s < 0:
-            lo, hi = max(0.0, a2 - a1), min(c, c + a2 - a1)
-        else:
-            lo, hi = max(0.0, a2 + a1 - c), min(c, a2 + a1)
-        if lo >= hi:
-            return False
-        k11, k12, k22 = k[i1, i1], k[i1, i2], k[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2_new = a2 + y2 * (e1 - e2) / eta
-            a2_new = min(max(a2_new, lo), hi)
-        else:
-            # flat direction: evaluate the objective at both clip ends
-            g1 = e1 + y1 - b  # sum_j alpha_j y_j K_1j
-            g2 = e2 + y2 - b
-            f1 = y1 * g1 - a1 * k11 - s * a2 * k12
-            f2 = y2 * g2 - s * a1 * k12 - a2 * k22
-            l1 = a1 + s * (a2 - lo)
-            h1 = a1 + s * (a2 - hi)
-            obj_lo = (l1 * f1 + lo * f2 + 0.5 * l1 * l1 * k11
-                      + 0.5 * lo * lo * k22 + s * lo * l1 * k12)
-            obj_hi = (h1 * f1 + hi * f2 + 0.5 * h1 * h1 * k11
-                      + 0.5 * hi * hi * k22 + s * hi * h1 * k12)
-            if obj_lo < obj_hi - _EPS:
-                a2_new = lo
-            elif obj_lo > obj_hi + _EPS:
-                a2_new = hi
+    for _ in range(_MAX_STEPS):
+        minus_yg = -y * grad
+        masked = np.where(up, minus_yg, -np.inf)
+        i = int(np.argmax(masked))
+        g_max = masked[i]
+        g_min = np.min(minus_yg, where=low, initial=np.inf)
+        if g_max - g_min < tol:
+            break
+        gain = g_max - minus_yg
+        curve = diag[i] + diag - 2.0 * k[i]
+        curve[curve <= 0] = _TAU
+        j = int(np.argmin(np.where(low & (gain > 0), -(gain * gain) / curve, np.inf)))
+
+        old_i, old_j = float(alpha[i]), float(alpha[j])
+        quad = curve[j]
+        # LIBSVM's clipping: each bound is restored from the pair's invariant
+        # (diff or total), so both multipliers land in [0, C] exactly
+        if y[i] != y[j]:
+            delta = (-grad[i] - grad[j]) / quad
+            diff = old_i - old_j
+            a_i, a_j = old_i + delta, old_j + delta
+            if diff > 0:
+                if a_j < 0:
+                    a_j, a_i = 0.0, diff
+                if a_i > c:
+                    a_i, a_j = c, c - diff
             else:
-                return False
-        if abs(a2_new - a2) < _EPS * (a2_new + a2 + _EPS):
-            return False
-        a1_new = a1 + s * (a2 - a2_new)
-
-        # choose b so the updated free multiplier sits exactly on its margin
-        b1 = b - e1 - y1 * (a1_new - a1) * k11 - y2 * (a2_new - a2) * k12
-        b2 = b - e2 - y1 * (a1_new - a1) * k12 - y2 * (a2_new - a2) * k22
-        if 0 < a1_new < c:
-            b_new = b1
-        elif 0 < a2_new < c:
-            b_new = b2
+                if a_i < 0:
+                    a_i, a_j = 0.0, -diff
+                if a_j > c:
+                    a_j, a_i = c, c + diff
         else:
-            b_new = (b1 + b2) / 2.0
+            delta = (grad[i] - grad[j]) / quad
+            total = old_i + old_j
+            a_i, a_j = old_i - delta, old_j + delta
+            if total > c:
+                if a_i > c:
+                    a_i, a_j = c, total - c
+                if a_j > c:
+                    a_j, a_i = c, total - c
+            else:
+                if a_j < 0:
+                    a_j, a_i = 0.0, total
+                if a_i < 0:
+                    a_i, a_j = 0.0, total
 
-        errors[:] += (y1 * (a1_new - a1) * k[i1]
-                      + y2 * (a2_new - a2) * k[i2]
-                      + (b_new - b))
-        alpha[i1], alpha[i2] = a1_new, a2_new
-        b = b_new
-        return True
+        grad += y * (k[i] * (y[i] * (a_i - old_i)) + k[j] * (y[j] * (a_j - old_j)))
+        alpha[i], alpha[j] = a_i, a_j
+        for t in (i, j):
+            up[t] = alpha[t] < c if pos[t] else alpha[t] > 0
+            low[t] = alpha[t] > 0 if pos[t] else alpha[t] < c
+    else:
+        raise RuntimeError(f"SMO did not converge within {_MAX_STEPS} steps")
 
-    def examine(i2: int) -> bool:
-        a2, y2, e2 = alpha[i2], y[i2], errors[i2]
-        r2 = e2 * y2
-        if not ((r2 < -tol and a2 < c) or (r2 > tol and a2 > 0)):
-            return False
-        non_bound = np.nonzero((alpha > 0) & (alpha < c))[0]
-        if len(non_bound) > 1:
-            i1 = int(non_bound[np.argmax(np.abs(errors[non_bound] - e2))])
-            if take_step(i1, i2):
-                return True
-        for i1 in non_bound:
-            if take_step(int(i1), i2):
-                return True
-        for i1 in range(n):
-            if take_step(i1, i2):
-                return True
-        return False
-
-    examine_all = True
-    sweeps = 0
-    while sweeps < _MAX_SWEEPS:
-        sweeps += 1
-        if examine_all:
-            changed = sum(examine(i) for i in range(n))
-        else:
-            candidates = np.nonzero((alpha > 0) & (alpha < c))[0]
-            changed = sum(examine(int(i)) for i in candidates)
-        if examine_all:
-            if changed == 0:
-                return alpha, b
-            examine_all = False
-        elif changed == 0:
-            examine_all = True
-    raise RuntimeError(f"SMO did not converge within {_MAX_SWEEPS} sweeps")
+    free = (alpha > 0) & (alpha < c)
+    if free.any():
+        rho = float(np.mean(y[free] * grad[free]))
+    else:
+        rho = -(float(g_max) + float(g_min)) / 2.0
+    return alpha, -rho
 
 
 @dataclass
@@ -143,7 +132,9 @@ class BinarySvm:
     bias: float
 
     def decision(self, rows: np.ndarray) -> np.ndarray:
-        return (self.alphas * self.train_y) @ cubic_kernel(self.train_x, rows) + self.bias
+        sv = self.alphas > 0
+        coef = self.alphas[sv] * self.train_y[sv]
+        return coef @ cubic_kernel(self.train_x[sv], rows) + self.bias
 
     def kkt_residuals(self, c: float) -> np.ndarray:
         """Per-training-point violation of the dual optimality conditions."""
@@ -169,6 +160,7 @@ class CubicSvmModel(TrainedModel):
         self.scale = scale
 
     def _votes_and_scores(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = self._check_rows(rows, len(self.mean))
         z = (rows - self.mean) / self.scale
         n_classes = len(self.class_set)
         votes = np.zeros((rows.shape[0], n_classes), dtype=np.int64)
@@ -183,22 +175,19 @@ class CubicSvmModel(TrainedModel):
             scores[:, b] -= f
         return votes, scores
 
-    def predict(self, rows: np.ndarray) -> np.ndarray:
-        rows = self._check_rows(rows, len(self.mean))
+    def predict_with_scores(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Most votes wins; vote ties go to the larger summed decision value,
+        then to the smallest label (argmax picks the first maximum)."""
         votes, scores = self._votes_and_scores(rows)
-        out = np.empty(rows.shape[0], dtype=np.int64)
-        for i in range(rows.shape[0]):
-            top = np.nonzero(votes[i] == votes[i].max())[0]
-            if len(top) > 1:
-                # argmax picks the first maximum, i.e. the smallest label on a
-                # score tie
-                top = top[[int(np.argmax(scores[i, top]))]]
-            out[i] = self.class_set[top[0]]
-        return out
+        top = votes == votes.max(axis=1, keepdims=True)
+        labels = self.class_set[np.argmax(np.where(top, scores, -np.inf), axis=1)]
+        return labels, scores
+
+    def predict(self, rows: np.ndarray) -> np.ndarray:
+        return self.predict_with_scores(rows)[0]
 
     def decision_scores(self, rows: np.ndarray) -> np.ndarray:
         """Summed pairwise decision values per class."""
-        rows = self._check_rows(rows, len(self.mean))
         return self._votes_and_scores(rows)[1]
 
     def max_kkt_residual(self) -> float:

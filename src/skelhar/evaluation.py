@@ -363,12 +363,12 @@ def run_matrix_experiment(config: PipelineConfig, matrix: FeatureMatrix,
 
     model = train_arrays(config.classifier, pool_matrix.rows, pool_matrix.labels)
     val_rows = matrix.rows[indices.validation]
-    val_pred = model.predict(val_rows)
+    val_pred, val_scores = model.predict_with_scores(val_rows)
     report = compute_report(matrix.labels[indices.validation], val_pred,
                             cv_report.fold_accuracies)
 
     result = ExperimentResult(report, cv_report, model, pca_model, config, indices,
-                              model.decision_scores(val_rows),
+                              val_scores,
                               matrix.labels[indices.validation])
     if out_dir is not None:
         write_bundle(result, out_dir)

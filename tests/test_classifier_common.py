@@ -94,3 +94,12 @@ def test_decision_scores_rank_the_predicted_label_first():
             top = np.nonzero(scores[i] == scores[i].max())[0]
             if len(top) == 1:
                 assert model.class_set[top[0]] == predictions[i], type(spec).__name__
+
+
+def test_predict_with_scores_matches_predict_and_decision_scores():
+    x, y, queries = _three_blobs(seed=7)
+    for spec in ALL_SPECS:
+        model = train_arrays(spec, x, y)
+        labels, scores = model.predict_with_scores(queries)
+        assert np.array_equal(labels, model.predict(queries)), type(spec).__name__
+        assert np.array_equal(scores, model.decision_scores(queries)), type(spec).__name__

@@ -30,6 +30,21 @@ def test_equal_distance_vote_tie_prefers_smallest_label():
     assert model.predict(np.array([[0.0]]))[0] == 2
 
 
+def test_one_nn_scores_are_the_one_hot_of_predict_on_duplicated_rows():
+    # every training row appears twice with different labels: the nearest
+    # neighbour is the lower-index copy, for predict and decision_scores alike
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(20, 3))
+    x = np.concatenate([base, base])
+    y = np.concatenate([np.full(20, 7), rng.integers(1, 7, size=20)])
+    model = train_arrays(FineKnnSpec(k=1), x, y)
+    queries = np.concatenate([base, rng.normal(size=(30, 3))])
+    predictions = model.predict(queries)
+    assert np.array_equal(predictions[:20], np.full(20, 7))
+    one_hot = (model.class_set[None, :] == predictions[:, None]).astype(np.float64)
+    assert np.array_equal(model.decision_scores(queries), one_hot)
+
+
 def test_matches_exhaustive_oracle_including_ties():
     rng = np.random.default_rng(1)
     for trial in range(12):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from skelhar import CubicSvmSpec, train_arrays
+from skelhar import (
+    CubicSvmSpec,
+    JointSubset,
+    Modality,
+    SynthSpec,
+    build_feature_matrix,
+    generate_synthetic,
+    train_arrays,
+)
 from skelhar.classifiers import BinarySvm, CubicSvmModel, cubic_kernel
 
 
@@ -38,6 +46,32 @@ def test_nine_classes_train_36_machines():
     model = train_arrays(CubicSvmSpec(), x, y)
     assert len(model.machines) == 36
     assert np.mean(model.predict(x) == y) == 1.0
+
+
+def _assert_exact_box(model):
+    c = model.spec.c
+    for m in model.machines:
+        assert np.all((m.alphas >= 0.0) & (m.alphas <= c)), (m.pos_label, m.neg_label)
+
+
+def test_multipliers_stay_in_the_box_exactly():
+    rng = np.random.default_rng(7)
+    x, y = _blobs(rng, [(0.0, 0.0), (1.0, 0.5)], n=60, spread=1.0)
+    _assert_exact_box(train_arrays(CubicSvmSpec(), x, y))
+    rng = np.random.default_rng(1)
+    x, y = _blobs(rng, [(4.0 * i, 4.0 * (i % 3)) for i in range(9)], n=10, spread=0.3)
+    _assert_exact_box(train_arrays(CubicSvmSpec(), x, y))
+
+
+def test_synthetic_coordinates_converge_in_the_box():
+    # a dataset whose lying-class pairs once stalled a first-order solver
+    matrix = build_feature_matrix(generate_synthetic(SynthSpec(n_participants=2, seed=4)),
+                                  Modality.COORDINATES, JointSubset.c28(), 3)
+    spec = CubicSvmSpec()
+    model = train_arrays(spec, matrix.rows, matrix.labels)
+    _assert_exact_box(model)
+    assert model.max_kkt_residual() <= spec.tolerance
+    assert np.mean(model.predict(matrix.rows) == matrix.labels) == 1.0
 
 
 def test_kernel_is_cubic_polynomial():
