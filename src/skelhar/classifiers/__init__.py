@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from ..features import FeatureMatrix
@@ -11,6 +14,7 @@ from .base import (
     CubicSvmSpec,
     FineKnnSpec,
     FineTreeSpec,
+    HyperparameterError,
     LinearDiscriminantSpec,
     MlpSpec,
     TrainedModel,
@@ -28,10 +32,15 @@ __all__ = [
     "ClassifierSpec",
     "CubicSvmModel",
     "CubicSvmSpec",
+    "DEFAULT_FAMILY",
+    "FAMILIES",
+    "FLAG_HELP",
+    "Family",
     "FineKnnModel",
     "FineKnnSpec",
     "FineTreeModel",
     "FineTreeSpec",
+    "HyperparameterError",
     "LinearDiscriminantModel",
     "LinearDiscriminantSpec",
     "MlpModel",
@@ -39,10 +48,10 @@ __all__ = [
     "SingularCovarianceError",
     "TrainedModel",
     "cubic_kernel",
+    "family_of",
     "initial_weights",
     "mlp_loss_and_gradient",
     "model_from_json_dict",
-    "predict",
     "train",
     "train_arrays",
     "train_bagged_trees",
@@ -53,20 +62,60 @@ __all__ = [
     "train_mlp",
 ]
 
-_TRAINERS = {
-    FineTreeSpec: train_fine_tree,
-    BaggedTreesSpec: train_bagged_trees,
-    FineKnnSpec: train_knn,
-    CubicSvmSpec: train_cubic_svm,
-    LinearDiscriminantSpec: train_lda,
-    MlpSpec: train_mlp,
+
+@dataclass(frozen=True)
+class Family:
+    """One classifier family: its CLI name, spec dataclass, model class,
+    trainer, and the CLI flags that set spec fields (flag -> field)."""
+
+    name: str
+    spec: type
+    model: type[TrainedModel]
+    trainer: Callable[..., TrainedModel]
+    flags: dict[str, str]
+
+
+# The families in CLI order. The CLI flags and choices, the config-file
+# round trip, trainer dispatch and model kinds all derive from this table.
+FAMILIES = (
+    Family("tree", FineTreeSpec, FineTreeModel, train_fine_tree,
+           {"tree-max-splits": "max_splits"}),
+    Family("lda", LinearDiscriminantSpec, LinearDiscriminantModel, train_lda, {}),
+    Family("svm-cubic", CubicSvmSpec, CubicSvmModel, train_cubic_svm,
+           {"svm-c": "c", "svm-tol": "tolerance"}),
+    Family("knn", FineKnnSpec, FineKnnModel, train_knn, {"knn-k": "k"}),
+    Family("bagged", BaggedTreesSpec, BaggedTreesModel, train_bagged_trees,
+           {"bagged-trees": "n_trees", "tree-max-splits": "max_splits"}),
+    Family("mlp", MlpSpec, MlpModel, train_mlp,
+           {"hidden": "hidden_width", "epochs": "epochs", "lr": "learning_rate"}),
+)
+
+DEFAULT_FAMILY = "knn"
+
+# Help text of every flag in FAMILIES, in the order `--help` lists them.
+# tree-max-splits is shared by two families, so help lives here, once.
+FLAG_HELP = {
+    "knn-k": "neighbor count for knn",
+    "tree-max-splits": "split budget for tree/bagged",
+    "bagged-trees": "ensemble size for bagged",
+    "svm-c": "box constraint for svm-cubic",
+    "svm-tol": "KKT tolerance for svm-cubic",
+    "hidden": "hidden width for mlp",
+    "epochs": "training epochs for mlp",
+    "lr": "learning rate for mlp",
 }
 
-_MODEL_KINDS = {
-    cls.kind: cls
-    for cls in (FineTreeModel, BaggedTreesModel, FineKnnModel, CubicSvmModel,
-                LinearDiscriminantModel, MlpModel)
-}
+_FAMILY_OF_SPEC = {family.spec: family for family in FAMILIES}
+
+# Dispatch goes through module-level dicts that hold the trainers themselves:
+# bench/tracer.py swaps a trainer for its wrapper by identity in module
+# attributes and dicts, so it would miss one reached through a Family row.
+_TRAINERS = {family.spec: family.trainer for family in FAMILIES}
+_MODEL_KINDS = {family.model.kind: family.model for family in FAMILIES}
+
+
+def family_of(spec: ClassifierSpec) -> Family:
+    return _FAMILY_OF_SPEC[type(spec)]
 
 
 def train_arrays(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> TrainedModel:
@@ -83,10 +132,6 @@ def train(spec: ClassifierSpec, features: FeatureMatrix) -> TrainedModel:
     if features.labels is None:
         raise ValueError("training requires a labeled feature matrix")
     return train_arrays(spec, features.rows, features.labels)
-
-
-def predict(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
-    return model.predict(rows)
 
 
 def model_from_json_dict(d: dict) -> TrainedModel:

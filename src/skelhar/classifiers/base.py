@@ -8,10 +8,33 @@ numpy substreams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
+
+
+class HyperparameterError(ValueError):
+    """A hyperparameter outside its domain; `field` names the dataclass field."""
+
+    def __init__(self, field: str, rule: str, value):
+        super().__init__(f"{field} must be {rule}, got {value!r}")
+        self.field = field
+
+
+def _check_counts(spec, *fields: str) -> None:
+    for name in fields:
+        if getattr(spec, name) < 1:
+            raise HyperparameterError(name, ">= 1", getattr(spec, name))
+
+
+def _check_positive(spec, *fields: str) -> None:
+    # NaN fails every comparison, so a `value <= 0` test would let it through
+    for name in fields:
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value > 0):
+            raise HyperparameterError(name, "a finite number > 0", value)
 
 
 @dataclass(frozen=True)
@@ -20,8 +43,7 @@ class FineTreeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_splits < 1:
-            raise ValueError("max_splits must be >= 1")
+        _check_counts(self, "max_splits")
 
 
 @dataclass(frozen=True)
@@ -31,10 +53,7 @@ class BaggedTreesSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_splits < 1:
-            raise ValueError("max_splits must be >= 1")
+        _check_counts(self, "n_trees", "max_splits")
 
 
 @dataclass(frozen=True)
@@ -43,8 +62,7 @@ class FineKnnSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _check_counts(self, "k")
 
 
 @dataclass(frozen=True)
@@ -54,10 +72,7 @@ class CubicSvmSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("C must be > 0")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        _check_positive(self, "c", "tolerance")
 
 
 @dataclass(frozen=True)
@@ -73,12 +88,8 @@ class MlpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_width < 1:
-            raise ValueError("hidden_width must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        _check_counts(self, "hidden_width", "epochs")
+        _check_positive(self, "learning_rate")
 
 
 ClassifierSpec = Union[
@@ -143,4 +154,6 @@ class TrainedModel:
         return self.predict(rows), self.decision_scores(rows)
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        """kind, spec and class set; each family adds its fitted state."""
+        return {"kind": self.kind, "spec": asdict(self.spec),
+                "class_set": self.class_set.tolist()}

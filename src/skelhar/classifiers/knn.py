@@ -56,9 +56,7 @@ class FineKnnModel(TrainedModel):
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "spec": {"k": self.spec.k, "seed": self.spec.seed},
-            "class_set": self.class_set.tolist(),
+            **super().to_json_dict(),
             "train_x": self.train_x.tolist(),
             "train_y": self.train_y.tolist(),
         }

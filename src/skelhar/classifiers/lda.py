@@ -37,9 +37,7 @@ class LinearDiscriminantModel(TrainedModel):
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "spec": {"seed": self.spec.seed},
-            "class_set": self.class_set.tolist(),
+            **super().to_json_dict(),
             "means": self.means.tolist(),
             "weights": self.weights.tolist(),
             "intercepts": self.intercepts.tolist(),

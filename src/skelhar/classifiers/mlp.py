@@ -110,14 +110,7 @@ class MlpModel(TrainedModel):
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "spec": {
-                "hidden_width": self.spec.hidden_width,
-                "epochs": self.spec.epochs,
-                "learning_rate": self.spec.learning_rate,
-                "seed": self.spec.seed,
-            },
-            "class_set": self.class_set.tolist(),
+            **super().to_json_dict(),
             "n_in": self.n_in,
             "weights": self.weights.tolist(),
         }

@@ -195,10 +195,7 @@ class CubicSvmModel(TrainedModel):
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "spec": {"c": self.spec.c, "tolerance": self.spec.tolerance,
-                     "seed": self.spec.seed},
-            "class_set": self.class_set.tolist(),
+            **super().to_json_dict(),
             "mean": self.mean.tolist(),
             "scale": self.scale.tolist(),
             "machines": [

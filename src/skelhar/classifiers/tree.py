@@ -185,9 +185,7 @@ class FineTreeModel(TrainedModel):
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "spec": {"max_splits": self.spec.max_splits, "seed": self.spec.seed},
-            "class_set": self.class_set.tolist(),
+            **super().to_json_dict(),
             "n_features": self.n_features,
             "tree": _node_to_dict(self.root),
         }
@@ -231,13 +229,7 @@ class BaggedTreesModel(TrainedModel):
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "spec": {
-                "n_trees": self.spec.n_trees,
-                "max_splits": self.spec.max_splits,
-                "seed": self.spec.seed,
-            },
-            "class_set": self.class_set.tolist(),
+            **super().to_json_dict(),
             "n_features": self.n_features,
             "trees": [_node_to_dict(t) for t in self.trees],
         }

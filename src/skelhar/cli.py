@@ -15,13 +15,12 @@ from pathlib import Path
 import click
 
 from .classifiers import (
-    BaggedTreesSpec,
+    DEFAULT_FAMILY,
+    FAMILIES,
+    FLAG_HELP,
     ClassifierSpec,
-    CubicSvmSpec,
-    FineKnnSpec,
-    FineTreeSpec,
-    LinearDiscriminantSpec,
-    MlpSpec,
+    HyperparameterError,
+    family_of,
 )
 from .dataset import SynthSpec, generate_synthetic, read_dataset, write_dataset
 from .evaluation import (
@@ -34,7 +33,20 @@ from .evaluation import (
 )
 from .features import Modality, build_feature_matrix, parse_subset
 
-CLASSIFIER_NAMES = ("tree", "lda", "svm-cubic", "knn", "bagged", "mlp")
+CLASSIFIER_NAMES = tuple(family.name for family in FAMILIES)
+_FAMILIES = {family.name: family for family in FAMILIES}
+
+# hyperparameter flag -> the value it takes in a default-built spec
+_FLAG_DEFAULTS = {
+    flag: getattr(family.spec(), field)
+    for family in FAMILIES
+    for flag, field in family.flags.items()
+}
+# spec or config field -> the flag that sets it, so errors name the flag
+_FIELD_FLAGS = {
+    "variance_threshold": "pca-var",
+    **{field: flag for family in FAMILIES for flag, field in family.flags.items()},
+}
 
 # file key (= flag name) -> (default, help), for every pipeline parameter
 _PIPELINE_PARAMS = {
@@ -43,15 +55,8 @@ _PIPELINE_PARAMS = {
     "dims": ("3", "feature dimensionality per joint: 2|3"),
     "pca": ("off", "PCA dimensionality reduction: on|off"),
     "pca-var": ("0.95", "explained-variance threshold for PCA"),
-    "classifier": ("knn", "tree|lda|svm-cubic|knn|bagged|mlp"),
-    "knn-k": ("1", "neighbor count for knn"),
-    "tree-max-splits": ("100", "split budget for tree/bagged"),
-    "bagged-trees": ("30", "ensemble size for bagged"),
-    "svm-c": ("1.0", "box constraint for svm-cubic"),
-    "svm-tol": ("0.001", "KKT tolerance for svm-cubic"),
-    "hidden": ("175", "hidden width for mlp"),
-    "epochs": ("200", "training epochs for mlp"),
-    "lr": ("0.01", "learning rate for mlp"),
+    "classifier": (DEFAULT_FAMILY, "|".join(CLASSIFIER_NAMES)),
+    **{flag: (repr(_FLAG_DEFAULTS[flag]), text) for flag, text in FLAG_HELP.items()},
     "split": ("60,20,20", "train,test,validation shares"),
     "folds": ("5", "cross-validation folds"),
     "stratify": ("class", "split stratification: class|participant"),
@@ -148,32 +153,17 @@ def _parse_split(values: dict[str, str]) -> tuple[float, float, float]:
     return shares[0], shares[1], shares[2]
 
 
+_PARSERS = {int: _parse_int, float: _parse_float}
+
+
 def _build_classifier(values: dict[str, str], seed: int) -> ClassifierSpec:
-    name = _parse_choice(values, "classifier", CLASSIFIER_NAMES)
-    if name == "tree":
-        return FineTreeSpec(max_splits=_parse_int(values, "tree-max-splits", 1), seed=seed)
-    if name == "bagged":
-        return BaggedTreesSpec(
-            n_trees=_parse_int(values, "bagged-trees", 1),
-            max_splits=_parse_int(values, "tree-max-splits", 1),
-            seed=seed,
-        )
-    if name == "knn":
-        return FineKnnSpec(k=_parse_int(values, "knn-k", 1), seed=seed)
-    if name == "svm-cubic":
-        return CubicSvmSpec(
-            c=_parse_float(values, "svm-c"),
-            tolerance=_parse_float(values, "svm-tol"),
-            seed=seed,
-        )
-    if name == "lda":
-        return LinearDiscriminantSpec(seed=seed)
-    return MlpSpec(
-        hidden_width=_parse_int(values, "hidden", 1),
-        epochs=_parse_int(values, "epochs", 1),
-        learning_rate=_parse_float(values, "lr"),
-        seed=seed,
-    )
+    """The selected family's spec; its __post_init__ checks the bounds."""
+    family = _FAMILIES[_parse_choice(values, "classifier", CLASSIFIER_NAMES)]
+    fields = {
+        field: _PARSERS[type(_FLAG_DEFAULTS[flag])](values, flag)
+        for flag, field in family.flags.items()
+    }
+    return family.spec(**fields, seed=seed)
 
 
 def _parse_frame_list(values: dict[str, str]) -> tuple[int, ...] | None:
@@ -220,6 +210,8 @@ def build_config(values: dict[str, str]) -> PipelineConfig:
             seed=seed,
             frame_positions=_parse_frame_list(values),
         )
+    except HyperparameterError as exc:
+        raise _usage(f"--{_FIELD_FLAGS[exc.field]}: {exc}") from None
     except ValueError as exc:
         raise _usage(str(exc)) from None
 
@@ -244,29 +236,10 @@ def config_to_flat(config: PipelineConfig) -> dict[str, str]:
     values["seed"] = str(config.seed)
     if config.frame_positions is not None:
         values["frame-list"] = ",".join(str(p) for p in config.frame_positions)
-
-    spec = config.classifier
-    if isinstance(spec, FineTreeSpec):
-        values["classifier"] = "tree"
-        values["tree-max-splits"] = str(spec.max_splits)
-    elif isinstance(spec, BaggedTreesSpec):
-        values["classifier"] = "bagged"
-        values["bagged-trees"] = str(spec.n_trees)
-        values["tree-max-splits"] = str(spec.max_splits)
-    elif isinstance(spec, FineKnnSpec):
-        values["classifier"] = "knn"
-        values["knn-k"] = str(spec.k)
-    elif isinstance(spec, CubicSvmSpec):
-        values["classifier"] = "svm-cubic"
-        values["svm-c"] = repr(spec.c)
-        values["svm-tol"] = repr(spec.tolerance)
-    elif isinstance(spec, LinearDiscriminantSpec):
-        values["classifier"] = "lda"
-    else:
-        values["classifier"] = "mlp"
-        values["hidden"] = str(spec.hidden_width)
-        values["epochs"] = str(spec.epochs)
-        values["lr"] = repr(spec.learning_rate)
+    family = family_of(config.classifier)
+    values["classifier"] = family.name
+    for flag, field in family.flags.items():
+        values[flag] = repr(getattr(config.classifier, field))
     return values
 
 

@@ -13,20 +13,16 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .classifiers import (
-    BaggedTreesSpec,
     ClassifierSpec,
-    CubicSvmSpec,
-    FineKnnSpec,
-    FineTreeSpec,
-    LinearDiscriminantSpec,
-    MlpSpec,
+    HyperparameterError,
     TrainedModel,
+    family_of,
     train_arrays,
 )
 from .dataset import DatasetManifest
@@ -260,6 +256,12 @@ class PcaConfig:
     enabled: bool = False
     variance_threshold: float = 0.95
 
+    def __post_init__(self):
+        # checked even when disabled: config.json records the value either way
+        if not 0.0 < self.variance_threshold <= 1.0:
+            raise HyperparameterError("variance_threshold", "in (0, 1]",
+                                      self.variance_threshold)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -294,9 +296,7 @@ class PipelineConfig:
         )
 
     def to_json_dict(self) -> dict:
-        classifier = {"name": _CLASSIFIER_NAMES[type(self.classifier)]}
-        for key, value in vars(self.classifier).items():
-            classifier[key] = value
+        classifier = {"name": family_of(self.classifier).name, **asdict(self.classifier)}
         return {
             "modality": self.modality.value,
             "subset": {
@@ -322,16 +322,6 @@ class PipelineConfig:
                 None if self.frame_positions is None else list(self.frame_positions)
             ),
         }
-
-
-_CLASSIFIER_NAMES = {
-    FineTreeSpec: "tree",
-    LinearDiscriminantSpec: "lda",
-    CubicSvmSpec: "svm-cubic",
-    FineKnnSpec: "knn",
-    BaggedTreesSpec: "bagged",
-    MlpSpec: "mlp",
-}
 
 
 @dataclass(frozen=True)

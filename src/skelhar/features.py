@@ -204,8 +204,7 @@ class FeatureMatrix:
         return FeatureMatrix(rows, self.labels, self.participants, self.provenance)
 
 
-def select_frames(seq: ActivitySequence, modality: Modality = Modality.COORDINATES,
-                  positions: tuple[int, ...] | None = None
+def select_frames(seq: ActivitySequence, positions: tuple[int, ...] | None = None
                   ) -> tuple[SkeletonFrame, ...]:
     """The 51-frame source window of a sequence.
 
@@ -215,7 +214,6 @@ def select_frames(seq: ActivitySequence, modality: Modality = Modality.COORDINAT
     the 51-pose budget; differencing later shortens velocity to 50 rows and
     acceleration to 49.
     """
-    del modality  # budget is modality-independent at selection time
     n = len(seq.frames)
     if n < MIN_SOURCE_FRAMES:
         raise ValueError(
@@ -306,7 +304,7 @@ def build_feature_matrix(manifest: DatasetManifest, modality: Modality,
     labels: list[int] = []
     participants: list[int] = []
     for seq in sequences:
-        window = select_frames(seq, modality, frame_positions)
+        window = select_frames(seq, frame_positions)
         vectors = derive_modality(window, modality)
         block = np.stack([
             normalize_posture(vectors[t], subset, dims, modality)

@@ -1,5 +1,8 @@
 """Contracts every classifier family must satisfy."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from skelhar import (
     MlpSpec,
     train_arrays,
 )
+from skelhar.classifiers import model_from_json_dict
 
 ALL_SPECS = [
     FineTreeSpec(seed=3),
@@ -103,3 +107,16 @@ def test_predict_with_scores_matches_predict_and_decision_scores():
         labels, scores = model.predict_with_scores(queries)
         assert np.array_equal(labels, model.predict(queries)), type(spec).__name__
         assert np.array_equal(scores, model.decision_scores(queries)), type(spec).__name__
+
+
+def test_model_json_round_trip():
+    x, y, queries = _three_blobs(seed=8)
+    for spec in ALL_SPECS:
+        model = train_arrays(spec, x, y)
+        payload = json.loads(json.dumps(model.to_json_dict()))
+        assert payload["spec"] == dataclasses.asdict(spec), type(spec).__name__
+        loaded = model_from_json_dict(payload)
+        assert type(loaded) is type(model)
+        assert np.array_equal(loaded.predict(queries), model.predict(queries))
+        assert np.array_equal(loaded.decision_scores(queries),
+                              model.decision_scores(queries)), type(spec).__name__

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -6,8 +7,11 @@ from click.testing import CliRunner
 from skelhar import (
     BaggedTreesSpec,
     CubicSvmSpec,
+    FineKnnSpec,
+    FineTreeSpec,
     JointId,
     JointSubset,
+    LinearDiscriminantSpec,
     MlpSpec,
     Modality,
     PcaConfig,
@@ -122,6 +126,25 @@ class TestEvaluate:
         assert config["classifier"]["name"] == "mlp"
         assert config["classifier"]["hidden_width"] == 175
 
+    @pytest.mark.parametrize("flag, args", [
+        ("--svm-tol", ["--classifier", "svm-cubic", "--svm-tol", "nan"]),
+        ("--svm-c", ["--classifier", "svm-cubic", "--svm-c", "nan"]),
+        ("--svm-c", ["--classifier", "svm-cubic", "--svm-c", "0"]),
+        ("--lr", ["--classifier", "mlp", "--lr", "nan"]),
+        ("--lr", ["--classifier", "mlp", "--lr", "inf"]),
+        ("--pca-var", ["--pca", "off", "--pca-var", "nan"]),
+        ("--pca-var", ["--pca", "on", "--pca-var", "nan"]),
+        ("--knn-k", ["--classifier", "knn", "--knn-k", "0"]),
+    ])
+    def test_bad_hyperparameter_is_usage_error_naming_the_flag(self, runner, tmp_path,
+                                                              flag, args):
+        # the dataset is never read: a rejected value must stop the command
+        # while its flags are parsed, before any data is loaded or trained on
+        result = runner.invoke(main, ["evaluate", str(tmp_path / "never-read.csv"),
+                                      *args, "-o", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert flag in result.output
+
     def test_show_report(self, runner, dataset_file, tmp_path):
         out = tmp_path / "rep"
         assert runner.invoke(main, ["evaluate", str(dataset_file), "--joints", "c9",
@@ -234,6 +257,22 @@ class TestConfigFile:
                 split=SplitPlan(seed=1),
                 seed=1,
             ),
+            PipelineConfig(
+                classifier=FineTreeSpec(max_splits=7, seed=2),
+                split=SplitPlan(seed=2),
+                seed=2,
+            ),
+            PipelineConfig(
+                classifier=FineKnnSpec(k=3, seed=4),
+                split=SplitPlan(seed=4),
+                seed=4,
+            ),
+            PipelineConfig(
+                modality=Modality.ACCELERATION,
+                classifier=LinearDiscriminantSpec(seed=6),
+                split=SplitPlan(seed=6),
+                seed=6,
+            ),
         ]
         for config in configs:
             assert build_config(config_to_flat(config)) == config
@@ -244,3 +283,10 @@ class TestConfigFile:
         for flag in ("--modality", "--joints", "--dims", "--pca", "--pca-var",
                      "--classifier", "--split", "--folds", "--stratify", "--seed"):
             assert flag in result.output
+        text = " ".join(result.output.split())  # undo click's line wrapping
+        for flag, default in (("--knn-k", "1"), ("--tree-max-splits", "100"),
+                              ("--bagged-trees", "30"), ("--svm-c", "1.0"),
+                              ("--svm-tol", "0.001"), ("--hidden", "175"),
+                              ("--epochs", "200"), ("--lr", "0.01")):
+            pattern = rf"{flag} TEXT [^\[]*\[default: {re.escape(default)}\]"
+            assert re.search(pattern, text), flag

@@ -65,9 +65,11 @@ class TestSelectFrames:
             select_frames(make_sequence(50))
 
     def test_budget_is_modality_independent(self):
-        seq = make_sequence(60)
-        for modality in Modality:
-            assert len(select_frames(seq, modality)) == 51
+        # selection takes no modality; every modality derives from these 51 poses
+        window = select_frames(make_sequence(60))
+        assert len(window) == 51
+        for modality, rows in zip(Modality, (51, 50, 49)):
+            assert derive_modality(window, modality).shape[0] == rows
 
     def test_explicit_positions_override_the_window(self):
         seq = make_sequence(120)
