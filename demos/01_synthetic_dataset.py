@@ -43,7 +43,7 @@ for label in (1, 2, 5, 6, 9):
     sequences = [s for s in manifest.sequences if s.activity.label == label]
     drifts = []
     for s in sequences:
-        hips = s.positions_array()[:, JointId.Hip]
+        hips = s.frames[:, JointId.Hip]
         drifts.append(np.linalg.norm(hips[-1] - hips[0]))
     name = sequences[0].activity.name
     print(f"  class {label} ({name:22s}): {np.mean(drifts):6.3f}")
@@ -63,7 +63,7 @@ path = out_dir / "synthetic.csv"
 write_dataset(manifest, path)
 again = read_dataset(path)
 identical = all(
-    np.array_equal(a.positions_array(), b.positions_array())
+    np.array_equal(a.frames, b.frames)
     for a, b in zip(manifest.sequences, again.sequences)
 )
 print(f"\nwrote {path} ({path.stat().st_size // 1024} KiB); "

@@ -26,15 +26,16 @@ manifest = generate_synthetic(SynthSpec(n_participants=2, frames_per_sequence=75
 seq = manifest.sequences[0]
 
 window = select_frames(seq)
+start = (len(seq) - len(window)) // 2
 print(f"sequence has {len(seq)} frames; the centered source window keeps "
-      f"{len(window)} (positions {window[0].frame_index}..{window[-1].frame_index})")
+      f"{len(window)} (positions {start}..{start + len(window) - 1})")
 
 for modality in Modality:
     vectors = derive_modality(window, modality)
     print(f"  {modality.value:13s} -> {vectors.shape[0]} per-frame vector sets")
 
 # invariances of the coordinate features
-positions = window[0].positions
+positions = window[0]
 subset = JointSubset.c28()
 base = normalize_posture(positions, subset, 3)
 moved = normalize_posture(positions * 2.5 + np.array([4.0, 0.5, -9.0]), subset, 3)

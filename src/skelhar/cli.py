@@ -22,7 +22,7 @@ from .classifiers import (
     HyperparameterError,
     family_of,
 )
-from .dataset import SynthSpec, generate_synthetic, read_dataset, write_dataset
+from .dataset import SynthSpec, format_sig9, generate_synthetic, read_dataset, write_dataset
 from .evaluation import (
     PcaConfig,
     PipelineConfig,
@@ -286,8 +286,8 @@ def extract(dataset, output, config_path, **flags):
                                       frame_positions=config.frame_positions)
         header = [f"f{i}" for i in range(matrix.n_features)] + ["label"]
         lines = [",".join(header)]
-        for row, label in zip(matrix.rows, matrix.labels):
-            lines.append(",".join(f"{v:.9g}" for v in row) + f",{label}")
+        lines.extend(f"{row},{label}"
+                     for row, label in zip(format_sig9(matrix.rows), matrix.labels))
         Path(output).write_text("\n".join(lines) + "\n", encoding="utf-8")
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc

@@ -21,6 +21,7 @@ reproducible and order-independent.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from .skeleton import (
     ActivityClass,
     ActivitySequence,
     JointId,
-    SkeletonFrame,
     validate_sequence,
 )
 
@@ -144,10 +144,18 @@ def csv_columns() -> list[str]:
 
 _HEADER = ",".join(csv_columns())
 _N_COLS = 3 + 3 * N_JOINTS
+_MAX_FRAME_INDEX = np.iinfo(np.int64).max
 
 
-def _format_coord(v: float) -> str:
-    return f"{v:.9g}"
+def format_sig9(rows: np.ndarray) -> Iterator[str]:
+    """Each row of a 2-D float array as comma-separated text, 9 significant digits.
+
+    This is the file precision of every CSV the package writes: a value
+    that survives it round-trips bit-exactly through float(). Rows are
+    formatted lazily, so a caller that decorates them holds one copy.
+    """
+    template = ",".join(["%.9g"] * rows.shape[1])
+    return (template % tuple(row.tolist()) for row in rows)
 
 
 def write_dataset(manifest: DatasetManifest, path: str | Path) -> None:
@@ -159,23 +167,21 @@ def write_dataset(manifest: DatasetManifest, path: str | Path) -> None:
     path = Path(path)
     lines = [_HEADER]
     for seq in manifest.sequences:
-        for frame in seq.frames:
-            coords = ",".join(_format_coord(v) for v in frame.positions.ravel())
-            lines.append(
-                f"{seq.participant_id},{seq.activity.label},{frame.frame_index},{coords}"
-            )
+        key = f"{seq.participant_id},{seq.activity.label}"
+        coords = format_sig9(seq.frames.reshape(len(seq), -1))
+        lines.extend(f"{key},{i},{row}" for i, row in zip(seq.frame_index.tolist(), coords))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_dataset(path: str | Path) -> DatasetManifest:
     """Parse a dataset file, failing with a located error on any defect.
 
-    Every sequence must pass validate_sequence; the first violation aborts
-    the read and names the offending line.
+    Every row is parsed first, then every sequence must pass
+    validate_sequence; the first defect found aborts the read and names the
+    offending line.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DatasetFormatError("empty file: missing header")
 
@@ -195,36 +201,13 @@ def read_dataset(path: str | Path) -> DatasetManifest:
             f"unknown column {bad[0]!r} where {bad[1]!r} was expected", line=1
         )
 
-    sequences: list[ActivitySequence] = []
-    seen_keys: set[tuple[int, int]] = set()
-    current_key: tuple[int, int] | None = None
-    current_frames: list[SkeletonFrame] = []
-    current_lines: list[int] = []
-
-    def _close_current():
-        nonlocal current_key, current_frames, current_lines
-        if current_key is None:
-            return
-        participant, label = current_key
-        seq = ActivitySequence(participant, ActivityClass(label), tuple(current_frames))
-        result = validate_sequence(seq)
-        if not result.ok:
-            v = result.violations[0]
-            line_no = None
-            if v.frame_index is not None:
-                for ln, fr in zip(current_lines, current_frames):
-                    if fr.frame_index == v.frame_index:
-                        line_no = ln
-                        break
-            raise DatasetFormatError(
-                f"sequence (participant={participant}, activity={label}): {v.message}",
-                line=line_no,
-            )
-        sequences.append(seq)
-        current_key = None
-        current_frames = []
-        current_lines = []
-
+    # Parse every row into preallocated arrays in file order; a sequence is
+    # the contiguous block of rows from its entry in starts to the next one.
+    coords = np.empty((len(lines) - 1, _N_COLS - 3))
+    frame_index = np.empty(len(lines) - 1, dtype=np.int64)
+    row_lines = np.empty(len(lines) - 1, dtype=np.int64)
+    starts: dict[tuple[int, int], int] = {}
+    n = 0
     for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -234,34 +217,43 @@ def read_dataset(path: str | Path) -> DatasetManifest:
                 f"row has {len(fields)} fields, expected {_N_COLS}", line=line_no
             )
         try:
-            participant = int(fields[0])
-            label = int(fields[1])
-            frame_index = int(fields[2])
+            key = (int(fields[0]), int(fields[1]))
+            frame = int(fields[2])
         except ValueError as exc:
             raise DatasetFormatError(f"malformed row key: {exc}", line=line_no) from exc
         try:
-            coords = np.array([float(v) for v in fields[3:]], dtype=np.float64)
+            coords[n] = fields[3:]
         except ValueError as exc:
             raise DatasetFormatError(f"malformed coordinate: {exc}", line=line_no) from exc
+        if key not in starts:
+            starts[key] = n
+        elif key != next(reversed(starts)):
+            raise DatasetFormatError(
+                f"rows for (participant={key[0]}, activity={key[1]}) are not contiguous",
+                line=line_no,
+            )
+        if not 0 <= frame <= _MAX_FRAME_INDEX:
+            bound = "be non-negative" if frame < 0 else f"be at most {_MAX_FRAME_INDEX}"
+            raise DatasetFormatError(f"frame_index must {bound}, got {frame}", line=line_no)
+        frame_index[n], row_lines[n] = frame, line_no
+        n += 1
 
-        key = (participant, label)
-        if key != current_key:
-            _close_current()
-            if key in seen_keys:
-                raise DatasetFormatError(
-                    f"rows for (participant={participant}, activity={label}) are not contiguous",
-                    line=line_no,
-                )
-            seen_keys.add(key)
-            current_key = key
+    sequences: list[ActivitySequence] = []
+    ends = list(starts.values())[1:] + [n]
+    for ((participant, label), lo), hi in zip(starts.items(), ends):
         try:
-            frame = SkeletonFrame(frame_index, coords.reshape(N_JOINTS, 3))
+            seq = ActivitySequence(participant, ActivityClass(label),
+                                   coords[lo:hi].reshape(-1, N_JOINTS, 3), frame_index[lo:hi])
         except ValueError as exc:
-            raise DatasetFormatError(str(exc), line=line_no) from exc
-        current_frames.append(frame)
-        current_lines.append(line_no)
-
-    _close_current()
+            raise DatasetFormatError(str(exc), line=int(row_lines[lo])) from exc
+        violations = validate_sequence(seq).violations
+        if violations:
+            v = violations[0]
+            raise DatasetFormatError(
+                f"sequence (participant={participant}, activity={label}): {v.message}",
+                line=None if v.position is None else int(row_lines[lo + v.position]),
+            )
+        sequences.append(seq)
     return DatasetManifest(tuple(sequences), FileIngest(str(path)))
 
 
@@ -425,8 +417,8 @@ def _yaw_matrix(yaw: float) -> np.ndarray:
 
 def _quantize_sig9(a: np.ndarray) -> np.ndarray:
     """Round every value to 9 significant decimal digits (the file precision)."""
-    flat = np.array([float(f"{v:.9g}") for v in a.ravel()], dtype=np.float64)
-    return flat.reshape(a.shape)
+    text = ",".join(format_sig9(a.reshape(len(a), -1)))
+    return np.array(text.split(","), dtype=np.float64).reshape(a.shape)
 
 
 def _generate_sequence(spec: SynthSpec, participant: int, label: int) -> ActivitySequence:
@@ -451,9 +443,7 @@ def _generate_sequence(spec: SynthSpec, participant: int, label: int) -> Activit
         walk = (t - (n - 1) / 2.0) * speed * heading
         positions[t] = pose + home + walk
     positions = _quantize_sig9(positions + noise)
-
-    frames = tuple(SkeletonFrame(t, positions[t]) for t in range(n))
-    return ActivitySequence(participant, ActivityClass(label), frames)
+    return ActivitySequence(participant, ActivityClass(label), positions, np.arange(n))
 
 
 def generate_synthetic(spec: SynthSpec) -> DatasetManifest:
@@ -497,8 +487,6 @@ def generate_depth_pair(
             home = np.array([rng.uniform(-1.0, 1.0), 0.0, rng.uniform(2.0, 4.0)])
             noise = rng.normal(0.0, noise_sigma, size=(frames_per_sequence, N_JOINTS, 3))
             positions = _quantize_sig9(template[None, :, :] + home + noise)
-            frames = tuple(
-                SkeletonFrame(t, positions[t]) for t in range(frames_per_sequence)
-            )
-            sequences.append(ActivitySequence(participant, ActivityClass(label), frames))
+            sequences.append(ActivitySequence(participant, ActivityClass(label), positions,
+                                              np.arange(frames_per_sequence)))
     return DatasetManifest(tuple(sequences), Synthetic(seed))

@@ -25,7 +25,7 @@ from .classifiers import (
     family_of,
     train_arrays,
 )
-from .dataset import DatasetManifest
+from .dataset import DatasetManifest, format_sig9
 from .features import (
     FeatureMatrix,
     JointSubset,
@@ -418,8 +418,8 @@ def write_bundle(result: ExperimentResult, out_dir: str | Path) -> None:
     for j, label in enumerate(result.model.class_set):
         score_columns[:, int(label) - 1] = result.validation_scores[:, j]
     lines = ["true_label," + ",".join(f"score_{c}" for c in range(1, N_CLASSES + 1))]
-    for truth, scores in zip(result.validation_truth, score_columns):
-        lines.append(f"{truth}," + ",".join(f"{v:.9g}" for v in scores))
+    lines.extend(f"{truth},{scores}"
+                 for truth, scores in zip(result.validation_truth, format_sig9(score_columns)))
     (out / "scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     _dump_json(result.config.to_json_dict(), out / "config.json")

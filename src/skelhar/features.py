@@ -31,7 +31,6 @@ from .skeleton import (
     N_JOINTS,
     ActivitySequence,
     JointId,
-    SkeletonFrame,
 )
 
 C9_JOINTS = (
@@ -205,8 +204,8 @@ class FeatureMatrix:
 
 
 def select_frames(seq: ActivitySequence, positions: tuple[int, ...] | None = None
-                  ) -> tuple[SkeletonFrame, ...]:
-    """The 51-frame source window of a sequence.
+                  ) -> np.ndarray:
+    """The 51-frame source window of a sequence, shape (51, 28, 3).
 
     By default this is the centered contiguous window, a deterministic proxy
     for hand-picked key poses; positions overrides it with explicit 0-based
@@ -236,20 +235,20 @@ def select_frames(seq: ActivitySequence, positions: tuple[int, ...] | None = Non
             f"explicit frame positions must lie in 0..{n - 1} for a "
             f"{n}-frame sequence"
         )
-    return tuple(seq.frames[p] for p in positions)
+    return seq.frames[list(positions)]
 
 
-def derive_modality(frames: tuple[SkeletonFrame, ...] | list[SkeletonFrame],
-                    modality: Modality) -> np.ndarray:
+def derive_modality(window: np.ndarray, modality: Modality) -> np.ndarray:
     """Per-frame joint vectors for a modality, shape (budget, 28, 3).
 
-    Velocity is the first forward difference of positions (meters/frame),
-    acceleration the second difference (meters/frame^2); the frame interval
-    is one, since the stream carries indices rather than timestamps.
+    window is the (51, 28, 3) source window. Velocity is the first forward
+    difference of positions (meters/frame), acceleration the second
+    difference (meters/frame^2); the frame interval is one, since the stream
+    carries indices rather than timestamps.
     """
-    if len(frames) != MIN_SOURCE_FRAMES:
-        raise ValueError(f"expected {MIN_SOURCE_FRAMES} frames, got {len(frames)}")
-    positions = np.stack([f.positions for f in frames])
+    positions = np.asarray(window, dtype=np.float64)
+    if len(positions) != MIN_SOURCE_FRAMES:
+        raise ValueError(f"expected {MIN_SOURCE_FRAMES} frames, got {len(positions)}")
     if modality is Modality.COORDINATES:
         return positions
     if modality is Modality.VELOCITY:
@@ -259,30 +258,34 @@ def derive_modality(frames: tuple[SkeletonFrame, ...] | list[SkeletonFrame],
 
 def normalize_posture(joint_vectors: np.ndarray, subset: JointSubset, dims: int,
                       modality: Modality = Modality.COORDINATES) -> np.ndarray:
-    """Flatten one frame's joint vectors into a posture feature row.
+    """Flatten joint vectors of shape (..., 28, 3) into posture feature rows (..., F).
 
     Coordinates are re-expressed relative to the head and scaled by the
-    head-neck distance, making the row invariant to where the subject stood
+    head-neck distance, making each row invariant to where the subject stood
     and to uniform body scale (not to rotation). Velocity and acceleration
-    vectors pass through unnormalized in the same joint layout.
+    vectors pass through unnormalized in the same joint layout. A single
+    (28, 3) frame gives one (F,) row.
     """
     if dims not in (2, 3):
         raise ValueError(f"dims must be 2 or 3, got {dims}")
     joint_vectors = np.asarray(joint_vectors, dtype=np.float64)
-    if joint_vectors.shape != (N_JOINTS, 3):
-        raise ValueError(f"expected ({N_JOINTS}, 3) joint vectors, got {joint_vectors.shape}")
+    if joint_vectors.shape[-2:] != (N_JOINTS, 3):
+        raise ValueError(
+            f"expected (..., {N_JOINTS}, 3) joint vectors, got {joint_vectors.shape}"
+        )
 
     idx = [int(j) for j in subset.feature_joints]
+    selected = joint_vectors[..., idx, :dims]
     if modality is Modality.COORDINATES:
-        head = joint_vectors[JointId.Head]
-        neck = joint_vectors[JointId.Neck]
-        ref = float(np.linalg.norm(neck - head))
-        if ref == 0.0:
+        head = joint_vectors[..., JointId.Head, :]
+        reference = joint_vectors[..., JointId.Neck, :] - head
+        # sqrt of vecdot is bit-identical to np.linalg.norm of one 3-vector
+        # (both take the dot product); norm(axis=-1) rounds differently
+        ref = np.sqrt(np.vecdot(reference, reference))
+        if (ref == 0.0).any():
             raise ValueError("Head and Neck coincide: normalization reference is degenerate")
-        selected = (joint_vectors[idx] - head) / ref
-    else:
-        selected = joint_vectors[idx]
-    return selected[:, :dims].ravel()
+        selected = (selected - head[..., None, :dims]) / ref[..., None, None]
+    return selected.reshape(*joint_vectors.shape[:-2], len(idx) * dims)
 
 
 def build_feature_matrix(manifest: DatasetManifest, modality: Modality,
@@ -304,12 +307,8 @@ def build_feature_matrix(manifest: DatasetManifest, modality: Modality,
     labels: list[int] = []
     participants: list[int] = []
     for seq in sequences:
-        window = select_frames(seq, frame_positions)
-        vectors = derive_modality(window, modality)
-        block = np.stack([
-            normalize_posture(vectors[t], subset, dims, modality)
-            for t in range(vectors.shape[0])
-        ])
+        vectors = derive_modality(select_frames(seq, frame_positions), modality)
+        block = normalize_posture(vectors, subset, dims, modality)
         blocks.append(block)
         labels.extend([seq.activity.label] * block.shape[0])
         participants.extend([seq.participant_id] * block.shape[0])

@@ -1,4 +1,4 @@
-"""Canonical domain types for skeleton streams: joints, frames, sequences, labels.
+"""Canonical domain types for skeleton streams: joints, sequences, labels.
 
 The joint taxonomy is the 28-joint skeleton emitted by RGB-D body trackers,
 indexed in a fixed canonical order. All downstream code (file layout, feature
@@ -9,8 +9,7 @@ of the on-disk contract and must never be reordered.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,57 +102,50 @@ class ActivityClass:
 
 
 @dataclass(frozen=True)
-class SkeletonFrame:
-    """One timestamped posture: 28 joint positions in the sensor frame.
-
-    positions is a read-only (28, 3) float64 array of (x, y, z) in meters.
-    Finiteness and the Head != Neck requirement are *reported* by
-    validate_sequence rather than enforced here, so that malformed data can
-    be represented long enough to be diagnosed.
-    """
-
-    frame_index: int
-    positions: np.ndarray
-
-    def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be non-negative, got {self.frame_index}")
-        pos = np.asarray(self.positions, dtype=np.float64)
-        if pos.shape != (N_JOINTS, 3):
-            raise ValueError(f"positions must have shape ({N_JOINTS}, 3), got {pos.shape}")
-        pos = pos.copy()
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-
-    def joint(self, joint: JointId) -> np.ndarray:
-        return self.positions[int(joint)]
-
-
-@dataclass(frozen=True)
 class ActivitySequence:
-    """Ordered frames for one (participant, activity) pair."""
+    """Ordered frames for one (participant, activity) pair.
+
+    frames is a read-only (T, 28, 3) float64 array of (x, y, z) joint
+    positions in meters, one pose per frame; frame_index is the read-only
+    (T,) int64 array of the frames' stream indices. Finiteness, index order
+    and the Head != Neck requirement are *reported* by validate_sequence
+    rather than enforced here, so that malformed data can be represented
+    long enough to be diagnosed.
+    """
 
     participant_id: int
     activity: ActivityClass
-    frames: tuple[SkeletonFrame, ...] = field(default_factory=tuple)
+    frames: np.ndarray
+    frame_index: np.ndarray
 
     def __post_init__(self):
         if self.participant_id < 1:
             raise ValueError(f"participant_id must be >= 1, got {self.participant_id}")
-        object.__setattr__(self, "frames", tuple(self.frames))
+        frames = np.array(self.frames, dtype=np.float64)
+        index = np.array(self.frame_index, dtype=np.int64)
+        if frames.shape[1:] != (N_JOINTS, 3) or index.shape != frames.shape[:1]:
+            raise ValueError(f"frames must have shape (T, {N_JOINTS}, 3) and frame_index "
+                             f"(T,), got {frames.shape} and {index.shape}")
+        if (index < 0).any():
+            raise ValueError(f"frame_index must be non-negative, got {index.min()}")
+        frames.setflags(write=False)
+        index.setflags(write=False)
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "frame_index", index)
 
     def __len__(self) -> int:
         return len(self.frames)
 
-    def positions_array(self) -> np.ndarray:
-        """Stack frame positions into a (n_frames, 28, 3) array."""
-        return np.stack([f.positions for f in self.frames])
-
 
 @dataclass(frozen=True)
 class Violation:
-    """One violated invariant, located at a frame when applicable."""
+    """One violated invariant, located at a frame when applicable.
 
+    position is the frame's 0-based place in the sequence and frame_index
+    its stored index; both are None for a whole-sequence violation.
+    """
+
+    position: int | None
     frame_index: int | None
     message: str
 
@@ -177,44 +169,41 @@ def validate_sequence(seq: ActivitySequence) -> ValidationResult:
     * at least MIN_SOURCE_FRAMES frames (coordinate-window requirement)
     * all coordinates finite
     * Head and Neck positions distinct (the normalization reference pair)
+
+    Frame violations come in frame order; within a frame, an index-order
+    violation precedes a coordinate one.
     """
     violations: list[Violation] = []
+    frames, index = seq.frames, seq.frame_index
 
-    if len(seq.frames) < MIN_SOURCE_FRAMES:
+    if len(frames) < MIN_SOURCE_FRAMES:
         violations.append(
             Violation(
                 None,
-                f"sequence has {len(seq.frames)} frames; "
+                None,
+                f"sequence has {len(frames)} frames; "
                 f"at least {MIN_SOURCE_FRAMES} are required for feature extraction",
             )
         )
 
-    prev_index: int | None = None
-    for frame in seq.frames:
-        if prev_index is not None and frame.frame_index <= prev_index:
-            violations.append(
-                Violation(
-                    frame.frame_index,
-                    f"frame_index {frame.frame_index} not greater than predecessor {prev_index}",
-                )
-            )
-        prev_index = frame.frame_index
+    not_increasing = np.zeros(len(index), dtype=bool)
+    not_increasing[1:] = index[1:] <= index[:-1]
+    bad_joints = ~np.isfinite(frames).all(axis=2)
+    non_finite = bad_joints.any(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        reference = frames[:, JointId.Neck] - frames[:, JointId.Head]
+        coincide = np.vecdot(reference, reference) == 0.0
 
-        bad = ~np.isfinite(frame.positions)
-        if bad.any():
-            joints = sorted({JointId(int(j)).name for j in np.nonzero(bad)[0]})
-            violations.append(
-                Violation(
-                    frame.frame_index,
-                    f"non-finite coordinate at joint(s) {', '.join(joints)}",
-                )
-            )
-        else:
-            head = frame.positions[JointId.Head]
-            neck = frame.positions[JointId.Neck]
-            if math.sqrt(float(np.sum((neck - head) ** 2))) == 0.0:
-                violations.append(
-                    Violation(frame.frame_index, "Head and Neck positions coincide")
-                )
+    for t in np.flatnonzero(not_increasing | non_finite | coincide).tolist():
+        frame_index = int(index[t])
+        if not_increasing[t]:
+            message = f"frame_index {frame_index} not greater than predecessor {index[t - 1]}"
+            violations.append(Violation(t, frame_index, message))
+        if non_finite[t]:
+            joints = sorted(JointId(int(j)).name for j in np.flatnonzero(bad_joints[t]))
+            message = f"non-finite coordinate at joint(s) {', '.join(joints)}"
+            violations.append(Violation(t, frame_index, message))
+        elif coincide[t]:
+            violations.append(Violation(t, frame_index, "Head and Neck positions coincide"))
 
     return ValidationResult(tuple(violations))

@@ -5,7 +5,6 @@ from skelhar import (
     ActivityClass,
     ActivitySequence,
     DatasetManifest,
-    SkeletonFrame,
     SynthSpec,
     Synthetic,
     generate_synthetic,
@@ -19,13 +18,14 @@ def grid_positions(shift=0.0):
     return base + shift
 
 
-def make_frame(frame_index=0, shift=0.0):
-    return SkeletonFrame(frame_index, grid_positions(shift))
+def make_frames(n_frames=51, drift=0.0):
+    """A (n_frames, 28, 3) stack of grid postures, frame t shifted by drift * t."""
+    return np.stack([grid_positions(drift * t) for t in range(n_frames)])
 
 
 def make_sequence(n_frames=51, participant=1, label=1, drift=0.0):
-    frames = tuple(make_frame(i, shift=drift * i) for i in range(n_frames))
-    return ActivitySequence(participant, ActivityClass(label), frames)
+    return ActivitySequence(participant, ActivityClass(label),
+                            make_frames(n_frames, drift), np.arange(n_frames))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,12 @@ These stay deliberately naive (pure-Python loops, alternative decompositions)
 so that they share no code path with the implementations they check.
 """
 
+import math
+
 import numpy as np
+
+from skelhar import JointId, Modality, Violation
+from skelhar.skeleton import MIN_SOURCE_FRAMES, N_JOINTS
 
 
 def exhaustive_knn(train_x, train_y, queries, k):
@@ -70,3 +75,66 @@ def central_difference(f, x, index, eps=1e-5):
     xm = x.copy()
     xm[index] -= eps
     return (f(xp) - f(xm)) / (2.0 * eps)
+
+
+def per_frame_violations(seq):
+    """validate_sequence's violations, found by walking the frames one at a time."""
+    violations = []
+    if len(seq.frames) < MIN_SOURCE_FRAMES:
+        violations.append(
+            Violation(
+                None,
+                None,
+                f"sequence has {len(seq.frames)} frames; "
+                f"at least {MIN_SOURCE_FRAMES} are required for feature extraction",
+            )
+        )
+
+    prev_index = None
+    for position, (frame_index, positions) in enumerate(zip(seq.frame_index.tolist(),
+                                                             seq.frames)):
+        if prev_index is not None and frame_index <= prev_index:
+            violations.append(
+                Violation(
+                    position,
+                    frame_index,
+                    f"frame_index {frame_index} not greater than predecessor {prev_index}",
+                )
+            )
+        prev_index = frame_index
+
+        bad = ~np.isfinite(positions)
+        if bad.any():
+            joints = sorted({JointId(int(j)).name for j in np.nonzero(bad)[0]})
+            violations.append(
+                Violation(
+                    position,
+                    frame_index,
+                    f"non-finite coordinate at joint(s) {', '.join(joints)}",
+                )
+            )
+        else:
+            head = positions[JointId.Head]
+            neck = positions[JointId.Neck]
+            if math.sqrt(float(np.sum((neck - head) ** 2))) == 0.0:
+                violations.append(
+                    Violation(position, frame_index, "Head and Neck positions coincide")
+                )
+    return tuple(violations)
+
+
+def per_frame_posture_row(joint_vectors, subset, dims, modality=Modality.COORDINATES):
+    """normalize_posture for exactly one (28, 3) frame, in scalar steps."""
+    joint_vectors = np.asarray(joint_vectors, dtype=np.float64)
+    assert joint_vectors.shape == (N_JOINTS, 3)
+    idx = [int(j) for j in subset.feature_joints]
+    if modality is Modality.COORDINATES:
+        head = joint_vectors[JointId.Head]
+        neck = joint_vectors[JointId.Neck]
+        ref = float(np.linalg.norm(neck - head))
+        if ref == 0.0:
+            raise ValueError("Head and Neck coincide: normalization reference is degenerate")
+        selected = (joint_vectors[idx] - head) / ref
+    else:
+        selected = joint_vectors[idx]
+    return selected[:, :dims].ravel()

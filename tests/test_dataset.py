@@ -26,9 +26,9 @@ def manifests_equal(a: DatasetManifest, b: DatasetManifest) -> bool:
     for sa, sb in zip(a.sequences, b.sequences):
         if sa.participant_id != sb.participant_id or sa.activity != sb.activity:
             return False
-        if [f.frame_index for f in sa.frames] != [f.frame_index for f in sb.frames]:
+        if not np.array_equal(sa.frame_index, sb.frame_index):
             return False
-        if not np.array_equal(sa.positions_array(), sb.positions_array()):
+        if not np.array_equal(sa.frames, sb.frames):
             return False
     return True
 
@@ -98,8 +98,45 @@ class TestReadDataset:
         fields[2] = "1"  # duplicate of an earlier frame index
         lines[5] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="not greater"):
+        with pytest.raises(DatasetFormatError, match="not greater") as err:
             read_dataset(path)
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize("column, value, message", [
+        (2, "99999999999999999999999", "frame_index must be at most"),
+        (2, "-1", "frame_index must be non-negative"),
+        (0, "0", "participant_id must be >= 1"),
+        (1, "10", "activity label must be in 1..9"),
+    ])
+    def test_out_of_range_key_is_located(self, tmp_path, column, value, message):
+        manifest = DatasetManifest((make_sequence(52),), Synthetic(0))
+        path = tmp_path / "key.csv"
+        write_dataset(manifest, path)
+        lines = path.read_text().splitlines()
+        # a participant or label is changed on every row, so one sequence stays
+        rows = [5] if column == 2 else range(1, len(lines))
+        for i in rows:
+            fields = lines[i].split(",")
+            fields[column] = value
+            lines[i] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"line {rows[0] + 1}: {message}"):
+            read_dataset(path)
+
+    def test_violation_in_a_later_sequence_names_its_line(self, tmp_path):
+        manifest = DatasetManifest(
+            (make_sequence(51, label=1), make_sequence(51, label=2)), Synthetic(0)
+        )
+        path = tmp_path / "later.csv"
+        write_dataset(manifest, path)
+        lines = path.read_text().splitlines()
+        fields = lines[56].split(",")
+        fields[3] = "nan"  # Head_x of the second sequence's sixth frame
+        lines[56] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match="non-finite") as err:
+            read_dataset(path)
+        assert err.value.line == 57
 
     def test_head_equals_neck_rejected(self, tmp_path):
         manifest = DatasetManifest((make_sequence(51),), Synthetic(0))
@@ -161,14 +198,14 @@ class TestGenerateSynthetic:
         manifest = generate_synthetic(
             SynthSpec(n_participants=1, noise_sigma=0.0, seed=5))
         seq = next(s for s in manifest.sequences if s.activity.label == 1)
-        positions = seq.positions_array()
+        positions = seq.frames
         assert np.array_equal(positions[0], positions[-1])
 
     def test_hip_displacement_zero_for_stationary_positive_for_dynamic(self):
         manifest = generate_synthetic(
             SynthSpec(n_participants=2, noise_sigma=0.0, seed=5))
         for seq in manifest.sequences:
-            hips = seq.positions_array()[:, JointId.Hip]
+            hips = seq.frames[:, JointId.Hip]
             steps = np.linalg.norm(np.diff(hips, axis=0), axis=1)
             if seq.activity.kind.value == "stationary":
                 assert np.allclose(steps, 0.0, atol=1e-7)
@@ -183,7 +220,7 @@ class TestGenerateSynthetic:
             speeds = []
             for seq in manifest.sequences:
                 if seq.activity.label == label:
-                    hips = seq.positions_array()[:, JointId.Hip]
+                    hips = seq.frames[:, JointId.Hip]
                     speeds.append(np.linalg.norm(np.diff(hips, axis=0), axis=1).mean())
             return np.mean(speeds)
 
@@ -222,7 +259,7 @@ class TestDepthPairFixture:
         manifest = generate_depth_pair(seed=1, n_participants=1, noise_sigma=0.0)
         a = next(s for s in manifest.sequences if s.activity.label == 1)
         b = next(s for s in manifest.sequences if s.activity.label == 2)
-        pa, pb = a.positions_array()[0], b.positions_array()[0]
+        pa, pb = a.frames[0], b.frames[0]
         # same participant home offsets differ, so compare centered clouds
         pa = pa - pa[JointId.Head]
         pb = pb - pb[JointId.Head]

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skelhar import (
     JointId,
     JointSubset,
     Modality,
-    SkeletonFrame,
     build_feature_matrix,
     derive_modality,
     normalize_posture,
     parse_subset,
     select_frames,
 )
-from conftest import grid_positions, make_frame, make_sequence
+from conftest import grid_positions, make_frames, make_sequence
+from oracles import per_frame_posture_row
 
 
 class TestJointSubset:
@@ -51,14 +52,14 @@ class TestJointSubset:
 class TestSelectFrames:
     def test_exact_window_is_identity(self):
         seq = make_sequence(51)
-        assert select_frames(seq) == seq.frames
+        assert np.array_equal(select_frames(seq), seq.frames)
 
     def test_centered_window_of_101(self):
         seq = make_sequence(101)
         window = select_frames(seq)
-        assert len(window) == 51
-        assert window[0].frame_index == 25
-        assert window[-1].frame_index == 75
+        assert window.shape == (51, 28, 3)
+        assert np.array_equal(window[0], seq.frames[25])
+        assert np.array_equal(window[-1], seq.frames[75])
 
     def test_too_short_sequence(self):
         with pytest.raises(ValueError, match="51"):
@@ -75,7 +76,7 @@ class TestSelectFrames:
         seq = make_sequence(120)
         positions = tuple(range(0, 102, 2))
         window = select_frames(seq, positions=positions)
-        assert [f.frame_index for f in window] == list(positions)
+        assert np.array_equal(window, seq.frames[list(positions)])
 
     def test_explicit_positions_are_validated(self):
         seq = make_sequence(60)
@@ -89,29 +90,23 @@ class TestSelectFrames:
 
 class TestDeriveModality:
     def test_constant_posture_has_zero_velocity(self):
-        frames = tuple(make_frame(i) for i in range(51))
-        velocity = derive_modality(frames, Modality.VELOCITY)
+        velocity = derive_modality(make_frames(51), Modality.VELOCITY)
         assert velocity.shape == (50, 28, 3)
         assert np.all(velocity == 0.0)
 
     def test_linear_motion(self):
-        frames = []
-        for t in range(51):
-            positions = grid_positions()
-            positions[JointId.Hip, 0] = 0.1 * t
-            frames.append(SkeletonFrame(t, positions))
-        velocity = derive_modality(tuple(frames), Modality.VELOCITY)
-        accel = derive_modality(tuple(frames), Modality.ACCELERATION)
+        frames = make_frames(51)
+        frames[:, JointId.Hip, 0] = 0.1 * np.arange(51)
+        velocity = derive_modality(frames, Modality.VELOCITY)
+        accel = derive_modality(frames, Modality.ACCELERATION)
         assert np.allclose(velocity[:, JointId.Hip, 0], 0.1, atol=1e-12)
         assert np.allclose(accel[:, JointId.Hip, 0], 0.0, atol=1e-12)
 
     def test_quadratic_motion_has_constant_acceleration(self):
-        frames = []
-        for t in range(51):
-            positions = grid_positions()
-            positions[JointId.Hip, 0] = 0.01 * t * t
-            frames.append(SkeletonFrame(t, positions))
-        accel = derive_modality(tuple(frames), Modality.ACCELERATION)
+        frames = make_frames(51)
+        t = np.arange(51)
+        frames[:, JointId.Hip, 0] = 0.01 * t * t
+        accel = derive_modality(frames, Modality.ACCELERATION)
         assert accel.shape == (49, 28, 3)
         assert np.allclose(accel[:, JointId.Hip, 0], 0.02, atol=1e-12)
 
@@ -122,7 +117,7 @@ class TestDeriveModality:
         assert np.array_equal(accel, np.diff(velocity, axis=0))
 
     def test_frame_budgets(self):
-        frames = tuple(make_frame(i) for i in range(51))
+        frames = make_frames(51)
         assert derive_modality(frames, Modality.COORDINATES).shape[0] == 51
         assert derive_modality(frames, Modality.VELOCITY).shape[0] == 50
         assert derive_modality(frames, Modality.ACCELERATION).shape[0] == 49
@@ -177,6 +172,31 @@ class TestNormalizePosture:
             normalize_posture(positions, JointSubset.c28(), 3)
         # velocity vectors never touch the reference pair
         normalize_posture(positions, JointSubset.c28(), 3, Modality.VELOCITY)
+
+
+class TestNormalizePostureOracle:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           offset=st.floats(-10.0, 10.0))
+    def test_batch_equals_per_frame_stack_bit_for_bit(self, seed, scale, offset):
+        rng = np.random.default_rng(seed)
+        window = rng.normal(offset, scale, (51, 28, 3))
+        for modality in Modality:
+            vectors = derive_modality(window, modality)
+            for subset in (JointSubset.c9(), JointSubset.c28()):
+                for dims in (2, 3):
+                    batch = normalize_posture(vectors, subset, dims, modality)
+                    expected = np.stack([per_frame_posture_row(v, subset, dims, modality)
+                                         for v in vectors])
+                    assert batch.shape == expected.shape
+                    assert np.array_equal(batch.view(np.int64), expected.view(np.int64))
+
+    def test_one_degenerate_frame_fails_the_batch(self):
+        frames = make_frames(51)
+        frames[30, JointId.Neck] = frames[30, JointId.Head]
+        with pytest.raises(ValueError, match="coincide"):
+            normalize_posture(frames, JointSubset.c28(), 3)
 
 
 class TestBuildFeatureMatrix:
