@@ -26,9 +26,8 @@ manifest = generate_synthetic(SynthSpec(n_participants=2, frames_per_sequence=75
 seq = manifest.sequences[0]
 
 window = select_frames(seq)
-start = (len(seq) - len(window)) // 2
 print(f"sequence has {len(seq)} frames; the centered source window keeps "
-      f"{len(window)} (positions {start}..{start + len(window) - 1})")
+      f"{len(window)}")
 
 for modality in Modality:
     vectors = derive_modality(window, modality)

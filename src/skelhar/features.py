@@ -279,9 +279,9 @@ def normalize_posture(joint_vectors: np.ndarray, subset: JointSubset, dims: int,
     if modality is Modality.COORDINATES:
         head = joint_vectors[..., JointId.Head, :]
         reference = joint_vectors[..., JointId.Neck, :] - head
-        # sqrt of vecdot is bit-identical to np.linalg.norm of one 3-vector
-        # (both take the dot product); norm(axis=-1) rounds differently
-        ref = np.sqrt(np.vecdot(reference, reference))
+        # sqrt of the batched dot product is bit-identical to np.linalg.norm
+        # of one 3-vector; norm(axis=-1) rounds differently
+        ref = np.sqrt(reference[..., None, :] @ reference[..., :, None])[..., 0, 0]
         if (ref == 0.0).any():
             raise ValueError("Head and Neck coincide: normalization reference is degenerate")
         selected = (selected - head[..., None, :dims]) / ref[..., None, None]

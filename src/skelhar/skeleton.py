@@ -192,7 +192,7 @@ def validate_sequence(seq: ActivitySequence) -> ValidationResult:
     non_finite = bad_joints.any(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
         reference = frames[:, JointId.Neck] - frames[:, JointId.Head]
-        coincide = np.vecdot(reference, reference) == 0.0
+        coincide = (reference[:, None, :] @ reference[:, :, None])[:, 0, 0] == 0.0
 
     for t in np.flatnonzero(not_increasing | non_finite | coincide).tolist():
         frame_index = int(index[t])
