@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
 from ..features import FeatureMatrix
 from .base import (
     BaggedTreesSpec,
-    ClassifierSpec,
     CubicSvmSpec,
     FineKnnSpec,
     FineTreeSpec,
@@ -89,6 +88,9 @@ FAMILIES = (
     Family("mlp", MlpSpec, MlpModel, train_mlp,
            {"hidden": "hidden_width", "epochs": "epochs", "lr": "learning_rate"}),
 )
+
+# Any one family's spec dataclass.
+ClassifierSpec = Union[tuple(family.spec for family in FAMILIES)]
 
 DEFAULT_FAMILY = "knn"
 

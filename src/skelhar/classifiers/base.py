@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Union
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from . import ClassifierSpec
 
 
 class HyperparameterError(ValueError):
@@ -90,16 +93,6 @@ class MlpSpec:
     def __post_init__(self):
         _check_counts(self, "hidden_width", "epochs")
         _check_positive(self, "learning_rate")
-
-
-ClassifierSpec = Union[
-    FineTreeSpec,
-    BaggedTreesSpec,
-    FineKnnSpec,
-    CubicSvmSpec,
-    LinearDiscriminantSpec,
-    MlpSpec,
-]
 
 
 def validate_training_data(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ label, so training is fully deterministic.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -123,23 +123,21 @@ def _grow_tree(x: np.ndarray, label_idx: np.ndarray, class_set: np.ndarray,
     return root
 
 
-def _predict_tree(root: _Node, rows: np.ndarray) -> np.ndarray:
-    out = np.empty(rows.shape[0], dtype=np.int64)
-    for i, row in enumerate(rows):
-        node = root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = node.label
-    return out
+def _leaf_counts(root: _Node, rows: np.ndarray, n_classes: int) -> np.ndarray:
+    """(n_rows, n_classes) training class counts of the leaf each row reaches.
 
-
-def _scores_tree(root: _Node, rows: np.ndarray, n_classes: int) -> np.ndarray:
+    Rows travel as index blocks, one comparison per node; a row equal to a
+    threshold goes left.
+    """
     out = np.empty((rows.shape[0], n_classes))
-    for i, row in enumerate(rows):
-        node = root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = node.counts / node.counts.sum()
+    blocks = [(root, np.arange(rows.shape[0]))]
+    while blocks:
+        node, idx = blocks.pop()
+        if node.is_leaf:
+            out[idx] = node.counts
+        elif len(idx):
+            left = rows[idx, node.feature] <= node.threshold
+            blocks += [(node.left, idx[left]), (node.right, idx[~left])]
     return out
 
 
@@ -174,14 +172,18 @@ class FineTreeModel(TrainedModel):
         self.root = root
         self.n_features = n_features
 
+    def _counts(self, rows: np.ndarray) -> np.ndarray:
+        return _leaf_counts(self.root, self._check_rows(rows, self.n_features),
+                            len(self.class_set))
+
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        rows = self._check_rows(rows, self.n_features)
-        return _predict_tree(self.root, rows)
+        """The reached leaf's majority label, ties to the smallest label."""
+        return self.class_set[np.argmax(self._counts(rows), axis=1)]
 
     def decision_scores(self, rows: np.ndarray) -> np.ndarray:
         """Class proportions of the training rows in the reached leaf."""
-        rows = self._check_rows(rows, self.n_features)
-        return _scores_tree(self.root, rows, len(self.class_set))
+        counts = self._counts(rows)
+        return counts / counts.sum(axis=1, keepdims=True)
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,21 +213,20 @@ class BaggedTreesModel(TrainedModel):
         self.trees = trees
         self.n_features = n_features
 
-    def predict(self, rows: np.ndarray) -> np.ndarray:
+    def _member_counts(self, rows: np.ndarray) -> Iterator[np.ndarray]:
         rows = self._check_rows(rows, self.n_features)
-        votes = np.zeros((rows.shape[0], len(self.class_set)), dtype=np.int64)
-        for tree in self.trees:
-            pred = _predict_tree(tree, rows)
-            votes[np.arange(rows.shape[0]), np.searchsorted(self.class_set, pred)] += 1
+        return (_leaf_counts(tree, rows, len(self.class_set)) for tree in self.trees)
+
+    def predict(self, rows: np.ndarray) -> np.ndarray:
+        """Hard vote of the members' leaf majorities, ties to the smallest label."""
+        one_hot = np.eye(len(self.class_set), dtype=np.int64)
+        votes = sum(one_hot[np.argmax(c, axis=1)] for c in self._member_counts(rows))
         return self.class_set[np.argmax(votes, axis=1)]
 
     def decision_scores(self, rows: np.ndarray) -> np.ndarray:
         """Mean leaf class proportions across ensemble members."""
-        rows = self._check_rows(rows, self.n_features)
-        total = np.zeros((rows.shape[0], len(self.class_set)))
-        for tree in self.trees:
-            total += _scores_tree(tree, rows, len(self.class_set))
-        return total / len(self.trees)
+        shares = (c / c.sum(axis=1, keepdims=True) for c in self._member_counts(rows))
+        return sum(shares) / len(self.trees)
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,6 +8,7 @@ the flag names; explicit flags override file values.
 
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -22,8 +23,16 @@ from .classifiers import (
     HyperparameterError,
     family_of,
 )
-from .dataset import SynthSpec, format_sig9, generate_synthetic, read_dataset, write_dataset
+from .dataset import (
+    SynthSpec,
+    format_sig9,
+    generate_synthetic,
+    read_dataset,
+    write_dataset,
+    write_lines,
+)
 from .evaluation import (
+    ExperimentResult,
     PcaConfig,
     PipelineConfig,
     SplitPlan,
@@ -284,11 +293,9 @@ def extract(dataset, output, config_path, **flags):
         matrix = build_feature_matrix(manifest, config.modality, config.subset,
                                       config.dims, labeled=True,
                                       frame_positions=config.frame_positions)
-        header = [f"f{i}" for i in range(matrix.n_features)] + ["label"]
-        lines = [",".join(header)]
-        lines.extend(f"{row},{label}"
-                     for row, label in zip(format_sig9(matrix.rows), matrix.labels))
-        Path(output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = ",".join([f"f{i}" for i in range(matrix.n_features)] + ["label"])
+        write_lines(output, header, (f"{row},{label}" for row, label
+                                     in zip(format_sig9(matrix.rows), matrix.labels)))
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote {matrix.n_rows}x{matrix.n_features} feature matrix to {output}")
@@ -313,12 +320,40 @@ def evaluate(dataset, output, config_path, **flags):
     click.echo(f"report bundle:       {output}")
 
 
+# grid axes, outermost first: the table's key columns and its row order
+_GRID_AXES = ("modality", "joints", "dims", "pca", "classifier")
+
+
+def _grid_axis(values: dict[str, str], key: str) -> list[str]:
+    """One grid axis's comma-separated values. A custom joint list has commas
+    of its own: a token that is no subset name continues the list before it."""
+    items: list[str] = []
+    for token in filter(None, values[key].split(",")):
+        if (key == "joints" and items and items[-1].startswith("list:")
+                and token not in ("c9", "c18", "c28") and not token.startswith("list:")):
+            items[-1] += "," + token
+        else:
+            items.append(token)
+    if not items:
+        raise _usage(f"--{key} grid axis is empty")
+    return items
+
+
+def _grid_row(config: PipelineConfig, result: ExperimentResult) -> str:
+    flat = config_to_flat(config)
+    flat["joints"] = flat["joints"].replace(",", ";")  # keep the CSV 7 columns wide
+    return ",".join([*(flat[key] for key in _GRID_AXES),
+                     f"{result.cv_report.overall_accuracy:.6f}",
+                     f"{result.report.overall_accuracy:.6f}"])
+
+
 @main.command()
 @click.argument("dataset", type=str)
 @click.option("-o", "--output", "output", required=True, type=str,
               help="destination CSV table path")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="parallel grid cells")
+              help="threads that run the grid cells; more were measured no "
+                   "faster, since the cells hold the GIL")
 @_pipeline_options
 def grid(dataset, output, jobs, config_path, **flags):
     """Run a cartesian grid of configurations and tabulate accuracies.
@@ -329,69 +364,29 @@ def grid(dataset, output, jobs, config_path, **flags):
     innermost) regardless of execution order.
     """
     values = _resolve(config_path, **flags)
-    axes = {}
-    for key in ("modality", "joints", "dims", "pca", "classifier"):
-        items = [v for v in values[key].split(",") if v]
-        if not items:
-            raise _usage(f"--{key} grid axis is empty")
-        axes[key] = items
     if jobs < 1:
         raise _usage("--jobs must be >= 1")
-
-    cells = []
-    for modality in axes["modality"]:
-        for joints in axes["joints"]:
-            for dims in axes["dims"]:
-                for pca in axes["pca"]:
-                    for classifier in axes["classifier"]:
-                        cell = dict(values)
-                        cell.update(modality=modality, joints=joints, dims=dims,
-                                    pca=pca, classifier=classifier)
-                        cells.append(build_config(cell))
+    cells = [build_config({**values, **dict(zip(_GRID_AXES, combo))})
+             for combo in itertools.product(*(_grid_axis(values, key) for key in _GRID_AXES))]
 
     try:
         manifest = read_dataset(dataset)
-        matrices = {}
-
-        def _matrix_key(config: PipelineConfig):
-            # custom subsets share the name "custom", so key on the joints
-            return (config.modality, config.subset.joints, config.dims)
-
+        matrices, cell_matrices = {}, []
         for config in cells:
-            key = _matrix_key(config)
+            # custom subsets share the name "custom", so key on the joints
+            key = (config.modality, config.subset.joints, config.dims)
             if key not in matrices:
                 matrices[key] = build_feature_matrix(
                     manifest, config.modality, config.subset, config.dims,
                     labeled=True, frame_positions=config.frame_positions,
                 )
+            cell_matrices.append(matrices[key])
 
-        def _run(config: PipelineConfig):
-            return run_matrix_experiment(config, matrices[_matrix_key(config)])
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run_matrix_experiment, cells, cell_matrices))
 
-        if jobs == 1:
-            results = [_run(c) for c in cells]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_run, cells))
-
-        lines = ["modality,joints,dims,pca,classifier,cv_accuracy,validation_accuracy"]
-        for config, result in zip(cells, results):
-            flat = config_to_flat(config)
-            joints = flat["joints"].replace(",", ";")  # keep the CSV 7 columns wide
-            lines.append(
-                ",".join(
-                    [
-                        config.modality.value,
-                        joints,
-                        str(config.dims),
-                        "on" if config.pca.enabled else "off",
-                        flat["classifier"],
-                        f"{result.cv_report.overall_accuracy:.6f}",
-                        f"{result.report.overall_accuracy:.6f}",
-                    ]
-                )
-            )
-        Path(output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(output, ",".join(_GRID_AXES) + ",cv_accuracy,validation_accuracy",
+                    map(_grid_row, cells, results))
     except (ValueError, OSError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote {len(cells)} grid rows to {output}")

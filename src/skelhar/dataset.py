@@ -21,7 +21,7 @@ reproducible and order-independent.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -158,19 +158,30 @@ def format_sig9(rows: np.ndarray) -> Iterator[str]:
     return (template % tuple(row.tolist()) for row in rows)
 
 
+def write_lines(path: str | Path, header: str, rows: Iterable[str]) -> None:
+    """Write a CSV file: the header line, then one line per row.
+
+    This is the file format of every CSV the package writes: UTF-8, each
+    line ending in LF. Rows are consumed lazily, so no caller holds the
+    whole file in memory.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(header + "\n")
+        f.writelines(row + "\n" for row in rows)
+
+
 def write_dataset(manifest: DatasetManifest, path: str | Path) -> None:
     """Serialize a manifest to the documented CSV layout.
 
     Coordinates are written with 9 significant digits; a value that survives
     that quantization round-trips bit-exactly through read_dataset.
     """
-    path = Path(path)
-    lines = [_HEADER]
-    for seq in manifest.sequences:
-        key = f"{seq.participant_id},{seq.activity.label}"
-        coords = format_sig9(seq.frames.reshape(len(seq), -1))
-        lines.extend(f"{key},{i},{row}" for i, row in zip(seq.frame_index.tolist(), coords))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, _HEADER, (
+        f"{seq.participant_id},{seq.activity.label},{i},{coords}"
+        for seq in manifest.sequences
+        for i, coords in zip(seq.frame_index.tolist(),
+                             format_sig9(seq.frames.reshape(len(seq), -1)))
+    ))
 
 
 def read_dataset(path: str | Path) -> DatasetManifest:

@@ -25,7 +25,7 @@ from .classifiers import (
     family_of,
     train_arrays,
 )
-from .dataset import DatasetManifest, format_sig9
+from .dataset import DatasetManifest, format_sig9, write_lines
 from .features import (
     FeatureMatrix,
     JointSubset,
@@ -408,19 +408,17 @@ def write_bundle(result: ExperimentResult, out_dir: str | Path) -> None:
     }
     _dump_json(report, out / "report.json")
 
-    lines = ["true\\pred," + ",".join(str(c) for c in range(1, N_CLASSES + 1))]
-    for c in range(1, N_CLASSES + 1):
-        row = result.report.confusion[c - 1]
-        lines.append(f"{c}," + ",".join(str(int(v)) for v in row))
-    (out / "confusion.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    classes = range(1, N_CLASSES + 1)
+    write_lines(out / "confusion.csv", "true\\pred," + ",".join(map(str, classes)),
+                (f"{c}," + ",".join(map(str, row))
+                 for c, row in zip(classes, result.report.confusion.tolist())))
 
     score_columns = np.zeros((result.validation_scores.shape[0], N_CLASSES))
     for j, label in enumerate(result.model.class_set):
         score_columns[:, int(label) - 1] = result.validation_scores[:, j]
-    lines = ["true_label," + ",".join(f"score_{c}" for c in range(1, N_CLASSES + 1))]
-    lines.extend(f"{truth},{scores}"
-                 for truth, scores in zip(result.validation_truth, format_sig9(score_columns)))
-    (out / "scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out / "scores.csv", "true_label," + ",".join(f"score_{c}" for c in classes),
+                (f"{truth},{scores}" for truth, scores
+                 in zip(result.validation_truth, format_sig9(score_columns))))
 
     _dump_json(result.config.to_json_dict(), out / "config.json")
     _dump_json(

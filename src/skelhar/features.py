@@ -67,15 +67,6 @@ class Modality(enum.Enum):
     VELOCITY = "velocity"
     ACCELERATION = "acceleration"
 
-    @property
-    def frame_budget(self) -> int:
-        """Feature rows contributed by one sequence."""
-        return {
-            Modality.COORDINATES: 51,
-            Modality.VELOCITY: 50,
-            Modality.ACCELERATION: 49,
-        }[self]
-
 
 @dataclass(frozen=True)
 class JointSubset:

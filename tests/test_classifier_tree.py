@@ -54,6 +54,16 @@ class TestFineTree:
         model = train_arrays(FineTreeSpec(), x, y)
         assert model.predict(np.zeros((1, 1)))[0] == 2
 
+    def test_query_on_the_threshold_goes_left(self):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([4, 4, 6, 6])
+        model = train_arrays(FineTreeSpec(), x, y)
+        on = np.array([[model.root.threshold]])
+        assert model.predict(on)[0] == 4
+        assert np.array_equal(model.decision_scores(on), [[1.0, 0.0]])
+        above = np.array([[np.nextafter(model.root.threshold, np.inf)]])
+        assert model.predict(above)[0] == 6
+
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(50, 4))
@@ -106,3 +116,30 @@ class TestBaggedTrees:
         bagged = train_arrays(BaggedTreesSpec(n_trees=20, max_splits=30), x, y)
         acc = np.mean(bagged.predict(holdout_x) == holdout_y)
         assert acc > 0.8
+
+    def test_scores_are_the_mean_of_member_leaf_proportions(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(120, 4))
+        y = rng.integers(1, 6, size=120)
+        bagged = train_arrays(BaggedTreesSpec(n_trees=4, max_splits=6, seed=2), x, y)
+        members = [FineTreeModel(FineTreeSpec(), tree, 4, bagged.class_set)
+                   for tree in bagged.trees]
+        queries = rng.normal(size=(50, 4))
+        mean = sum(m.decision_scores(queries) for m in members) / len(members)
+        assert np.array_equal(bagged.decision_scores(queries), mean)
+        assert not np.isin(mean, (0.0, 1.0)).all()  # some leaves are impure
+
+    def test_predict_is_the_members_hard_vote_with_ties_to_the_smallest_label(self):
+        # rows 0-9 (x = 0..9) are class 2 and rows 10-19 class 1; tree 0 sees
+        # every row and splits at 9.5, tree 1 sees rows 0-2 and 10-19 and
+        # splits at 6, so queries in (6, 9.5] get one vote for each class
+        x = np.arange(20.0)[:, None]
+        y = np.where(np.arange(20) < 10, 2, 1)
+        bootstraps = [np.arange(20), np.r_[0:3, 10:20]]
+        bagged = train_bagged_trees(BaggedTreesSpec(n_trees=2), x, y,
+                                    sampler=lambda t, n: bootstraps[t])
+        members = [FineTreeModel(FineTreeSpec(), tree, 1, bagged.class_set)
+                   for tree in bagged.trees]
+        queries = np.array([[3.0], [8.0], [12.0]])
+        assert [m.predict(queries).tolist() for m in members] == [[2, 2, 1], [2, 1, 1]]
+        assert bagged.predict(queries).tolist() == [2, 1, 1]

@@ -194,8 +194,7 @@ class TestGrid:
     def test_single_joint_custom_subset_as_grid_axis(self, runner, dataset_file,
                                                      tmp_path):
         # a comma-free custom list is a valid axis value alongside the named
-        # subsets; multi-joint lists are split by the axis parser and fail
-        # loudly as unknown subsets
+        # subsets
         out = tmp_path / "custom.csv"
         result = runner.invoke(main, ["grid", str(dataset_file), "--joints",
                                       "c9,list:Neck", "--dims", "2,3",
@@ -205,9 +204,25 @@ class TestGrid:
         assert len(lines) == 1 + 4
         assert any(line.startswith("coordinates,list:Neck,2") for line in lines)
 
-        result = runner.invoke(main, ["grid", str(dataset_file), "--joints",
-                                      "list:Neck,RHand", "-o", str(tmp_path / "x.csv")])
-        assert result.exit_code == 2  # "RHand" is not a subset name
+    @pytest.mark.parametrize("source, expected", [
+        ("flag", ["c9", "list:Neck;RHand", "c18"]),
+        ("config", ["list:Neck;RHand"]),
+    ])
+    def test_multi_joint_custom_list_as_grid_axis(self, runner, dataset_file, tmp_path,
+                                                  source, expected):
+        # the axis splitter must not cut a custom list at its own commas
+        if source == "flag":
+            args = ["--joints", "c9,list:Neck,RHand,c18"]
+        else:
+            config = tmp_path / "grid.cfg"
+            config.write_text("joints=list:Neck,RHand\n")
+            args = ["--config", str(config)]
+        out = tmp_path / "custom.csv"
+        result = runner.invoke(main, ["grid", str(dataset_file), *args, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert all(len(row) == 7 for row in rows)
+        assert [row[1] for row in rows] == expected
 
 
 class TestConfigFile:

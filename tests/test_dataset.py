@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ class TestCsvLayout:
         path = tmp_path / "empty.csv"
         write_dataset(DatasetManifest((), Synthetic(0)), path)
         assert path.read_text() == ",".join(csv_columns()) + "\n"
+
+    def test_write_streams_rows(self, tmp_path):
+        manifest = generate_synthetic(SynthSpec(n_participants=4))
+        path = tmp_path / "four.csv"
+        tracemalloc.start()
+        try:
+            write_dataset(manifest, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * path.stat().st_size
 
     def test_one_sequence_writes_one_row_per_frame(self, tmp_path):
         manifest = DatasetManifest((make_sequence(51),), Synthetic(0))
