@@ -6,6 +6,14 @@ largest total impurity decrease is expanded next, up to max_splits splits.
 Equal-gain candidates resolve to the smaller feature index, then the smaller
 threshold; leaf predictions are the majority label with ties to the smallest
 label, so training is fully deterministic.
+
+Split search presorts once per tree: every feature column is argsorted
+stably at the root, and a split hands each child its rows in the same order
+by a stable partition, so no node sorts again. A node scores all features at
+once, as a (features x cuts) gain matrix built from per-class cumulative
+counts, in blocks of at most _BLOCK_CELLS (rows x features) cells, or of
+one feature where a node has more rows. The working set is thus one int32
+presort of the training rows plus one block, whatever the feature count.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import numpy as np
 from .base import BaggedTreesSpec, FineTreeSpec, TrainedModel, validate_training_data
 
 _MIN_GAIN = 1e-12
+_BLOCK_CELLS = 1 << 16  # presort cells scored at once; bounds the working set
 
 
 class _Node:
@@ -44,45 +53,60 @@ def _gini(counts: np.ndarray, n: int) -> float:
     return 1.0 - float(np.sum((counts / n) ** 2))
 
 
-def _best_split(x: np.ndarray, label_idx: np.ndarray, idx: np.ndarray,
+def _best_split(x: np.ndarray, label_idx: np.ndarray, order: np.ndarray,
                 counts: np.ndarray):
-    """Best (gain, feature, threshold, left_rows, right_rows) for a node, or None."""
-    n = len(idx)
+    """Best (gain, feature, threshold, cut) for a node, or None.
+
+    order is the node's (n_features, n) presort: order[f] lists the node's
+    rows by ascending x[:, f]. The split sends order[feature, :cut + 1] left.
+    Each block of features yields one (features x cuts) gain matrix.
+    """
+    n_features, n = order.shape
     g_node = _gini(counts, n)
     if g_node <= 0.0:
         return None
-    best_gain = _MIN_GAIN
-    best = None
-    n_classes = len(counts)
-    node_labels = label_idx[idx]
-    for f in range(x.shape[1]):
-        vals = x[idx, f]
-        order = np.argsort(vals, kind="stable")
-        v = vals[order]
-        cuts = np.nonzero(v[:-1] < v[1:])[0]
-        if len(cuts) == 0:
+    nl = np.arange(1.0, n)  # left sizes, one per cut position
+    nr = n - nl
+    nl2, nr2 = nl * nl, nr * nr
+    classes = np.flatnonzero(counts)
+    best_gain, best = _MIN_GAIN, None
+    step = max(1, _BLOCK_CELLS // n)
+    for f0 in range(0, n_features, step):
+        rows = order[f0:f0 + step]
+        v = x[rows, np.arange(f0, f0 + len(rows))[:, None]]  # reused for left counts
+        tied = v[:, :-1] >= v[:, 1:]  # no cut between equal values
+        if tied.all():
             continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), node_labels[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        lc = cum[cuts]
-        rc = counts - lc
-        nl = (cuts + 1).astype(np.float64)
-        nr = n - nl
-        gl = 1.0 - np.sum(lc * lc, axis=1) / (nl * nl)
-        gr = 1.0 - np.sum(rc * rc, axis=1) / (nr * nr)
-        gain = g_node - (nl * gl + nr * gr) / n
-        j = int(np.argmax(gain))  # first maximum = smallest threshold
-        if gain[j] > best_gain:
-            cut = cuts[j]
-            thr = (v[cut] + v[cut + 1]) / 2.0
-            if thr >= v[cut + 1]:  # adjacent floats: midpoint collapsed upward
-                thr = v[cut]
-            left = idx[order[:cut + 1]]
-            right = idx[order[cut + 1:]]
-            best_gain = float(gain[j])
-            best = (best_gain, f, float(thr), left, right)
-    return best
+        labels = label_idx[rows]
+        is_c = np.empty(rows.shape, dtype=bool)
+        sq = np.empty(tied.shape)
+        gl = np.zeros(tied.shape)  # sum of squared left counts, then Gini, then gain
+        gr = np.zeros(tied.shape)
+        for c in classes:
+            np.equal(labels, c, out=is_c)
+            lc = np.cumsum(is_c, axis=1, dtype=np.float64, out=v)[:, :-1]
+            gl += np.multiply(lc, lc, out=sq)
+            np.subtract(counts[c], lc, out=sq)
+            gr += np.multiply(sq, sq, out=sq)
+        np.subtract(1.0, np.divide(gl, nl2, out=gl), out=gl)
+        np.subtract(1.0, np.divide(gr, nr2, out=gr), out=gr)
+        gl *= nl
+        gl += np.multiply(gr, nr, out=gr)
+        gl /= n
+        gain = np.subtract(g_node, gl, out=gl)
+        gain[tied] = -np.inf
+        j = int(np.argmax(gain))  # row-major first maximum: smaller feature, then cut
+        if gain.flat[j] > best_gain:
+            best_gain = float(gain.flat[j])
+            best = (f0 + j // (n - 1), j % (n - 1))
+    if best is None:
+        return None
+    feature, cut = best
+    lo, hi = x[order[feature, cut:cut + 2], feature]
+    thr = (lo + hi) / 2.0
+    if thr >= hi:  # adjacent floats: midpoint collapsed upward
+        thr = lo
+    return best_gain, feature, float(thr), cut
 
 
 def _grow_tree(x: np.ndarray, label_idx: np.ndarray, class_set: np.ndarray,
@@ -90,35 +114,43 @@ def _grow_tree(x: np.ndarray, label_idx: np.ndarray, class_set: np.ndarray,
     n_total = x.shape[0]
     n_classes = len(class_set)
 
-    def _make(idx: np.ndarray) -> tuple[_Node, np.ndarray, np.ndarray]:
-        counts = np.bincount(label_idx[idx], minlength=n_classes).astype(np.float64)
-        return _Node(_majority(counts, class_set), counts), idx, counts
+    def _make(rows: np.ndarray) -> tuple[_Node, np.ndarray]:
+        counts = np.bincount(label_idx[rows], minlength=n_classes).astype(np.float64)
+        return _Node(_majority(counts, class_set), counts), counts
 
-    root, root_idx, root_counts = _make(np.arange(n_total))
-    heap: list[tuple[float, int, _Node, tuple]] = []
+    heap: list[tuple[float, int, _Node, np.ndarray, tuple]] = []
     counter = 0
 
-    def _enqueue(node: _Node, idx: np.ndarray, counts: np.ndarray):
+    def _enqueue(node: _Node, order: np.ndarray, counts: np.ndarray):
         nonlocal counter
-        split = _best_split(x, label_idx, idx, counts)
+        split = _best_split(x, label_idx, order, counts)
         if split is None:
             return
         gain = split[0]
-        decrease = gain * len(idx) / n_total
-        heapq.heappush(heap, (-decrease, counter, node, split))
+        decrease = gain * order.shape[1] / n_total
+        heapq.heappush(heap, (-decrease, counter, node, order, split))
         counter += 1
 
-    _enqueue(root, root_idx, root_counts)
+    order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T, dtype=np.int32)
+    root, root_counts = _make(np.arange(n_total))
+    _enqueue(root, order, root_counts)
     splits = 0
     while heap and splits < max_splits:
-        _, _, node, (gain, feature, threshold, left_idx, right_idx) = heapq.heappop(heap)
+        _, _, node, order, (_, feature, threshold, cut) = heapq.heappop(heap)
         node.feature = feature
         node.threshold = threshold
-        left, left_rows, left_counts = _make(left_idx)
-        right, right_rows, right_counts = _make(right_idx)
+        goes_left = np.zeros(n_total, dtype=bool)
+        goes_left[order[feature, :cut + 1]] = True
+        mask = goes_left[order]
+        n_features, n = order.shape
+        left, left_counts = _make(order[feature, :cut + 1])
+        right, right_counts = _make(order[feature, cut + 1:])
         node.left, node.right = left, right
-        _enqueue(left, left_rows, left_counts)
-        _enqueue(right, right_rows, right_counts)
+        left_order = order[mask].reshape(n_features, cut + 1)
+        right_order = order[~mask].reshape(n_features, n - cut - 1)
+        del order, mask  # only the children's orders stay alive while they are scored
+        _enqueue(left, left_order, left_counts)
+        _enqueue(right, right_order, right_counts)
         splits += 1
     return root
 

@@ -37,7 +37,6 @@ from .evaluation import (
     PipelineConfig,
     SplitPlan,
     StratifyBy,
-    run_experiment,
     run_matrix_experiment,
 )
 from .features import Modality, build_feature_matrix, parse_subset
@@ -311,8 +310,12 @@ def evaluate(dataset, output, config_path, **flags):
     values = _resolve(config_path, **flags)
     config = build_config(values)
     try:
-        manifest = read_dataset(dataset)
-        result = run_experiment(config, manifest, out_dir=output)
+        # read_dataset has already validated every sequence: skip
+        # run_experiment's check, which serves direct API callers
+        matrix = build_feature_matrix(read_dataset(dataset), config.modality,
+                                      config.subset, config.dims, labeled=True,
+                                      frame_positions=config.frame_positions)
+        result = run_matrix_experiment(config, matrix, out_dir=output)
     except (ValueError, OSError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"validation accuracy: {result.report.overall_accuracy:.4f}")
@@ -352,8 +355,8 @@ def _grid_row(config: PipelineConfig, result: ExperimentResult) -> str:
 @click.option("-o", "--output", "output", required=True, type=str,
               help="destination CSV table path")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="threads that run the grid cells; more were measured no "
-                   "faster, since the cells hold the GIL")
+              help="threads that run the grid cells; more were measured "
+                   "slower, since the cells hold the GIL")
 @_pipeline_options
 def grid(dataset, output, jobs, config_path, **flags):
     """Run a cartesian grid of configurations and tabulate accuracies.

@@ -4,11 +4,13 @@ These stay deliberately naive (pure-Python loops, alternative decompositions)
 so that they share no code path with the implementations they check.
 """
 
+import heapq
 import math
 
 import numpy as np
 
 from skelhar import JointId, Modality, Violation
+from skelhar.classifiers.tree import _Node
 from skelhar.skeleton import MIN_SOURCE_FRAMES, N_JOINTS
 
 
@@ -138,3 +140,89 @@ def per_frame_posture_row(joint_vectors, subset, dims, modality=Modality.COORDIN
     else:
         selected = joint_vectors[idx]
     return selected[:, :dims].ravel()
+
+
+def _oracle_gini(counts, n):
+    return 1.0 - float(np.sum((counts / n) ** 2))
+
+
+def per_feature_best_split(x, label_idx, idx, counts, min_gain=1e-12):
+    """Best (gain, feature, threshold, left_rows, right_rows) for a node, or None.
+
+    Each feature is argsorted on its own and scored from a one-hot cumsum;
+    the first strictly larger gain wins, so ties go to the smaller feature,
+    then the smaller threshold.
+    """
+    n = len(idx)
+    g_node = _oracle_gini(counts, n)
+    if g_node <= 0.0:
+        return None
+    best_gain = min_gain
+    best = None
+    n_classes = len(counts)
+    node_labels = label_idx[idx]
+    for f in range(x.shape[1]):
+        vals = x[idx, f]
+        order = np.argsort(vals, kind="stable")
+        v = vals[order]
+        cuts = np.nonzero(v[:-1] < v[1:])[0]
+        if len(cuts) == 0:
+            continue
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), node_labels[order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        lc = cum[cuts]
+        rc = counts - lc
+        nl = (cuts + 1).astype(np.float64)
+        nr = n - nl
+        gl = 1.0 - np.sum(lc * lc, axis=1) / (nl * nl)
+        gr = 1.0 - np.sum(rc * rc, axis=1) / (nr * nr)
+        gain = g_node - (nl * gl + nr * gr) / n
+        j = int(np.argmax(gain))
+        if gain[j] > best_gain:
+            cut = cuts[j]
+            thr = (v[cut] + v[cut + 1]) / 2.0
+            if thr >= v[cut + 1]:  # adjacent floats: midpoint collapsed upward
+                thr = v[cut]
+            left = idx[order[:cut + 1]]
+            right = idx[order[cut + 1:]]
+            best_gain = float(gain[j])
+            best = (best_gain, f, float(thr), left, right)
+    return best
+
+
+def per_feature_grow_tree(x, label_idx, class_set, max_splits):
+    """Best-first CART growth that re-sorts every feature at every node."""
+    n_total = x.shape[0]
+    n_classes = len(class_set)
+
+    def _make(idx):
+        counts = np.bincount(label_idx[idx], minlength=n_classes).astype(np.float64)
+        return _Node(int(class_set[int(np.argmax(counts))]), counts), idx, counts
+
+    root, root_idx, root_counts = _make(np.arange(n_total))
+    heap = []
+    counter = 0
+
+    def _enqueue(node, idx, counts):
+        nonlocal counter
+        split = per_feature_best_split(x, label_idx, idx, counts)
+        if split is None:
+            return
+        decrease = split[0] * len(idx) / n_total
+        heapq.heappush(heap, (-decrease, counter, node, split))
+        counter += 1
+
+    _enqueue(root, root_idx, root_counts)
+    splits = 0
+    while heap and splits < max_splits:
+        _, _, node, (gain, feature, threshold, left_idx, right_idx) = heapq.heappop(heap)
+        node.feature = feature
+        node.threshold = threshold
+        left, left_rows, left_counts = _make(left_idx)
+        right, right_rows, right_counts = _make(right_idx)
+        node.left, node.right = left, right
+        _enqueue(left, left_rows, left_counts)
+        _enqueue(right, right_rows, right_counts)
+        splits += 1
+    return root

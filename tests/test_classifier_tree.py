@@ -1,8 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from skelhar import BaggedTreesSpec, FineTreeSpec, train_arrays
-from skelhar.classifiers import FineTreeModel
+from skelhar.classifiers import FineTreeModel, tree
 from skelhar.classifiers.tree import train_bagged_trees, train_fine_tree
+from oracles import per_feature_grow_tree
 
 
 def _tree_depth(node):
@@ -143,3 +148,80 @@ class TestBaggedTrees:
         queries = np.array([[3.0], [8.0], [12.0]])
         assert [m.predict(queries).tolist() for m in members] == [[2, 2, 1], [2, 1, 1]]
         assert bagged.predict(queries).tolist() == [2, 1, 1]
+
+
+def _column(rng, kind, n):
+    if kind == "ties":  # small integers: many equal values per column
+        return rng.integers(0, 4, size=n).astype(np.float64)
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "adjacent":  # neighbouring floats: the midpoint collapses upward
+        base = rng.normal(size=3)[rng.integers(0, 3, size=n)]
+        return np.where(rng.random(n) < 0.5, base, np.nextafter(base, np.inf))
+    return rng.normal(size=n)
+
+
+def _oracle_json(spec, x, y):
+    class_set = np.unique(y)
+    root = per_feature_grow_tree(x, np.searchsorted(class_set, y), class_set,
+                                 spec.max_splits)
+    return FineTreeModel(spec, root, x.shape[1], class_set).to_json_dict()
+
+
+class TestPresortedSplitSearch:
+    """The presorted, blocked split search grows the per-feature oracle's tree."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 60),
+           kinds=st.lists(st.sampled_from(["ties", "constant", "adjacent", "normal"]),
+                          min_size=1, max_size=6),
+           n_classes=st.integers(2, 9),
+           max_splits=st.integers(1, 30),
+           block_cells=st.sampled_from([1, 7, 50, 1 << 16]))
+    def test_trees_equal_the_per_feature_oracle(self, seed, n, kinds, n_classes,
+                                                max_splits, block_cells):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([_column(rng, kind, n) for kind in kinds])
+        y = rng.choice(np.arange(1, 10), size=n_classes, replace=False)[
+            rng.integers(0, n_classes, size=n)]
+        y[:2] = [1, 9]  # at least two classes
+        spec = FineTreeSpec(max_splits=max_splits)
+        with mock.patch.object(tree, "_BLOCK_CELLS", block_cells):
+            model = train_fine_tree(spec, x, y)
+        assert model.to_json_dict() == _oracle_json(spec, x, y)
+
+    def test_single_class_node_stays_a_leaf(self):
+        x = np.random.default_rng(0).normal(size=(10, 3))
+        label_idx = np.zeros(10, dtype=np.int64)
+        class_set = np.array([4])
+        grown = tree._grow_tree(x, label_idx, class_set, 5)
+        oracle = per_feature_grow_tree(x, label_idx, class_set, 5)
+        assert grown.is_leaf and oracle.is_leaf
+        assert tree._node_to_dict(grown) == tree._node_to_dict(oracle)
+
+    def test_equal_gain_tie_across_blocks_goes_to_the_smaller_feature(self):
+        # features 2 and 3 are the same perfect separator; with three features
+        # per block they are scored in different blocks
+        rng = np.random.default_rng(1)
+        n = 40
+        x = rng.normal(size=(n, 5))
+        x[:, 2] = x[:, 3] = np.arange(n)
+        y = np.where(np.arange(n) < 20, 1, 2)
+        spec = FineTreeSpec(max_splits=1)
+        with mock.patch.object(tree, "_BLOCK_CELLS", 3 * n):
+            model = train_fine_tree(spec, x, y)
+        assert model.root.feature == 2
+        assert model.to_json_dict() == _oracle_json(spec, x, y)
+
+    def test_peak_memory_stays_within_four_times_the_features(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4000, 81))
+        y = rng.integers(1, 10, size=4000)
+        tracemalloc.start()
+        try:
+            train_fine_tree(FineTreeSpec(), x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.nbytes

@@ -4,6 +4,8 @@ import re
 import pytest
 from click.testing import CliRunner
 
+import skelhar.dataset
+import skelhar.evaluation
 from skelhar import (
     BaggedTreesSpec,
     CubicSvmSpec,
@@ -18,8 +20,11 @@ from skelhar import (
     PipelineConfig,
     SplitPlan,
     StratifyBy,
+    read_dataset,
+    run_experiment,
+    validate_sequence,
 )
-from skelhar.cli import build_config, config_to_flat, main
+from skelhar.cli import _PIPELINE_DEFAULTS, build_config, config_to_flat, main
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +120,29 @@ class TestEvaluate:
         # knn on the separable synthetic data lands well above 0.90
         report = json.loads((a / "report.json").read_text())
         assert report["overall_accuracy"] >= 0.90
+
+    def test_validates_each_sequence_once_and_matches_the_api_bundle(
+            self, runner, dataset_file, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(seq):
+            calls.append(seq)
+            return validate_sequence(seq)
+
+        monkeypatch.setattr(skelhar.dataset, "validate_sequence", counting)
+        monkeypatch.setattr(skelhar.evaluation, "validate_sequence", counting)
+        flags = {"classifier": "tree", "joints": "c18", "seed": "3"}
+        args = [f"--{k}={v}" for k, v in flags.items()]
+        out = tmp_path / "cli"
+        result = runner.invoke(main, ["evaluate", str(dataset_file), *args, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 2 * 9  # 2 participants x 9 activities, once each
+
+        config = build_config({**_PIPELINE_DEFAULTS, **flags})
+        run_experiment(config, read_dataset(dataset_file), out_dir=tmp_path / "api")
+        for name in ("report.json", "confusion.csv", "scores.csv", "config.json",
+                     "model.json"):
+            assert (out / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
 
     def test_config_echoes_mlp_width(self, runner, dataset_file, tmp_path):
         out = tmp_path / "mlp"

@@ -8,7 +8,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_synthetic_dataset.py", "02_posture_features.py"])
+@pytest.mark.parametrize("demo", ["01_synthetic_dataset.py", "02_posture_features.py",
+                                  "03_pca_explained_variance.py", "04_classifier_tour.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
