@@ -18,7 +18,10 @@ extremes when none is free.
 Multiclass uses one-vs-one voting over all label pairs. Features are
 z-scored inside the model (fitted on the training set) to keep the
 polynomial kernel numerically tame. A machine stores every row of its two
-classes, but scores a query only against its support vectors (a > 0).
+classes, but scores a query only against its support vectors (a > 0). A
+row of class a is therefore stored by every machine that pairs a;
+`CubicSvmModel.to_json_dict` gives equal rows one shared list, so the
+bundle writer formats each of them once, and model.json is unchanged.
 """
 
 from __future__ import annotations
@@ -194,6 +197,10 @@ class CubicSvmModel(TrainedModel):
         return max(float(m.kkt_residuals(self.spec.c).max()) for m in self.machines)
 
     def to_json_dict(self) -> dict:
+        """Equal rows share one list object (keyed by their exact bits, so
+        -0.0 and NaN stay distinct): a pool row of class a appears in every
+        machine that pairs a, and the JSON writer formats it once."""
+        rows: dict[bytes, list] = {}
         return {
             **super().to_json_dict(),
             "mean": self.mean.tolist(),
@@ -202,7 +209,7 @@ class CubicSvmModel(TrainedModel):
                 {
                     "pos_label": m.pos_label,
                     "neg_label": m.neg_label,
-                    "train_x": m.train_x.tolist(),
+                    "train_x": [rows.setdefault(r.tobytes(), r.tolist()) for r in m.train_x],
                     "train_y": m.train_y.tolist(),
                     "alphas": m.alphas.tolist(),
                     "bias": m.bias,

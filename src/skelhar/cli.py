@@ -399,10 +399,24 @@ def grid(dataset, output, jobs, config_path, **flags):
 @click.argument("bundle", type=str)
 def show_report(bundle):
     """Print the headline numbers of a saved report bundle."""
+    path = Path(bundle) / "report.json"
     try:
-        report = json.loads((Path(bundle) / "report.json").read_text(encoding="utf-8"))
+        report = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise click.ClickException(str(exc)) from exc
+    if not isinstance(report, dict):
+        raise click.ClickException(f"{path}: expected a JSON object, not {type(report).__name__}")
+    for name, required, ok in (
+        ("overall_accuracy", True, lambda v: isinstance(v, (int, float))),
+        ("group_accuracy", True, lambda v: isinstance(v, dict) and all(
+            a is None or isinstance(a, (int, float)) for a in v.values())),
+        ("fold_accuracies", False, lambda v: v is None or isinstance(v, list) and all(
+            isinstance(a, (int, float)) for a in v)),
+    ):
+        if required and name not in report:
+            raise click.ClickException(f"{path}: missing field {name!r}")
+        if not ok(report.get(name)):
+            raise click.ClickException(f"{path}: field {name!r} has the wrong type")
     click.echo(f"overall accuracy: {report['overall_accuracy']:.4f}")
     for name, value in report["group_accuracy"].items():
         shown = "n/a" if value is None else f"{value:.4f}"

@@ -6,6 +6,11 @@ cross-validation inside the train+test pool; the validation partition is
 touched exactly once, by the final model, and produces the headline report.
 PCA, when enabled, is fitted on the train partition only. report.json
 labels which protocol produced each number.
+
+`write_json` streams the bundle's JSON files in the stdlib's
+indent=2, sort_keys layout: flat lists go through the C encoder in one
+call, and a list object shared by several parents (the SVM's row lists)
+is formatted once.
 """
 
 from __future__ import annotations
@@ -383,8 +388,78 @@ def run_experiment(config: PipelineConfig, manifest: DatasetManifest,
     return run_matrix_experiment(config, matrix, out_dir)
 
 
-def _dump_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+_SCALARS = frozenset((float, int, str, bool, type(None)))
+
+
+def _count_flat_lists(obj, depth: int, uses: dict, active: set) -> None:
+    """Count the uses of each (flat list, depth) in obj, and raise what
+    json.dumps would raise: TypeError for a value it cannot encode (and for
+    any non-str key), ValueError for a circular reference."""
+    if isinstance(obj, (list, tuple)):
+        if _SCALARS.issuperset(map(type, obj)):  # one C pass, no per-item isinstance
+            uses[id(obj), depth] = uses.get((id(obj), depth), 0) + 1
+            return
+        children = obj
+    elif isinstance(obj, dict):
+        bad = [k for k in obj if not isinstance(k, str)]
+        if bad:
+            raise TypeError(f"keys must be str, not {type(bad[0]).__name__}")
+        children = obj.values()
+    elif isinstance(obj, (str, int, float)) or obj is None:
+        return
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if id(obj) in active:
+        raise ValueError("Circular reference detected")
+    active.add(id(obj))
+    for child in children:
+        _count_flat_lists(child, depth + 1, uses, active)
+    active.remove(id(obj))
+
+
+def _json_chunks(obj, depth: int, uses: dict, texts: dict):
+    """Yield json.dumps(obj, indent=2, sort_keys=True) in pieces. A flat list
+    is encoded by one C-encoder call and its text kept only until its last
+    use, so a list object shared by many parents is formatted once."""
+    outer = "\n" + "  " * depth
+    pad = outer + "  "
+    key = (id(obj), depth)
+    if key in uses:  # a flat list
+        text = texts.pop(key, None)
+        if text is None:
+            inner = json.dumps(obj, separators=("," + pad, ": "))[1:-1]
+            text = "[" + pad + inner + outer + "]" if obj else "[]"
+        uses[key] -= 1
+        if uses[key]:
+            texts[key] = text
+        yield text
+    elif isinstance(obj, (list, tuple, dict)) and obj:
+        is_dict = isinstance(obj, dict)
+        sep = "{" + pad if is_dict else "[" + pad
+        for item in (sorted(obj) if is_dict else obj):
+            if is_dict:
+                yield sep + json.dumps(item) + ": "
+                item = obj[item]
+            else:
+                yield sep
+            yield from _json_chunks(item, depth + 1, uses, texts)
+            sep = "," + pad
+        yield outer + ("}" if is_dict else "]")
+    else:  # a scalar or an empty dict
+        yield json.dumps(obj)
+
+
+def write_json(obj, path: Path) -> None:
+    """Stream exactly json.dumps(obj, indent=2, sort_keys=True) + "\\n" to path.
+
+    Every value is checked before the file is opened, so a TypeError or
+    ValueError leaves no partial file behind. Dict keys must be str.
+    """
+    uses: dict = {}
+    _count_flat_lists(obj, 0, uses, set())
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(_json_chunks(obj, 0, uses, {}))
+        f.write("\n")
 
 
 def write_bundle(result: ExperimentResult, out_dir: str | Path) -> None:
@@ -406,7 +481,7 @@ def write_bundle(result: ExperimentResult, out_dir: str | Path) -> None:
         ),
         "cv_overall_accuracy": result.cv_report.overall_accuracy,
     }
-    _dump_json(report, out / "report.json")
+    write_json(report, out / "report.json")
 
     classes = range(1, N_CLASSES + 1)
     write_lines(out / "confusion.csv", "true\\pred," + ",".join(map(str, classes)),
@@ -420,8 +495,8 @@ def write_bundle(result: ExperimentResult, out_dir: str | Path) -> None:
                 (f"{truth},{scores}" for truth, scores
                  in zip(result.validation_truth, format_sig9(score_columns))))
 
-    _dump_json(result.config.to_json_dict(), out / "config.json")
-    _dump_json(
+    write_json(result.config.to_json_dict(), out / "config.json")
+    write_json(
         {
             "classifier": result.model.to_json_dict(),
             "pca": None if result.pca_model is None else result.pca_model.to_json_dict(),

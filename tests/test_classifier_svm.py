@@ -118,6 +118,26 @@ def test_serialization_round_trip():
     assert np.array_equal(model.predict(queries), again.predict(queries))
 
 
+def test_json_dict_shares_one_list_per_distinct_row():
+    # every row of a class is stored by each machine that pairs it; equal
+    # rows (here a duplicated block) must share one list object
+    rng = np.random.default_rng(6)
+    x, y = _blobs(rng, [(-2.0, -2.0), (2.0, 2.0), (-2.0, 2.0), (2.0, -2.0)], n=12)
+    x, y = np.concatenate([x, x[:5]]), np.concatenate([y, y[:5]])
+    model = train_arrays(CubicSvmSpec(), x, y)
+    d = model.to_json_dict()
+    stored = [row for m in d["machines"] for row in m["train_x"]]
+    assert len(stored) == 3 * len(x)  # each row in the 3 machines of its class
+    assert len({id(row) for row in stored}) == len(np.unique(x, axis=0)) == len(x) - 5
+
+    again = CubicSvmModel.from_json_dict(d)
+    queries = rng.normal(0, 2, size=(30, 2))
+    labels, scores = model.predict_with_scores(queries)
+    labels_again, scores_again = again.predict_with_scores(queries)
+    assert np.array_equal(labels, labels_again)
+    assert np.array_equal(scores, scores_again)
+
+
 def _constant_machine(pos, neg, bias):
     # zero support vectors make the decision value a constant bias
     return BinarySvm(pos, neg, np.empty((0, 2)), np.empty(0), np.empty(0), bias)

@@ -24,6 +24,7 @@ from skelhar import (
     run_experiment,
     validate_sequence,
 )
+from skelhar.classifiers import FAMILIES
 from skelhar.cli import _PIPELINE_DEFAULTS, build_config, config_to_flat, main
 
 
@@ -180,6 +181,34 @@ class TestEvaluate:
         result = runner.invoke(main, ["show-report", str(out)])
         assert result.exit_code == 0
         assert "overall accuracy" in result.output
+
+    @pytest.mark.parametrize("report, message", [
+        ("[1, 2]", "expected a JSON object, not list"),
+        ('{"overall_accuracy": 0.5}', "missing field 'group_accuracy'"),
+        ('{"overall_accuracy": "0.5", "group_accuracy": {}}',
+         "field 'overall_accuracy' has the wrong type"),
+        ('{"overall_accuracy": 0.5, "group_accuracy": {}, "fold_accuracies": [null]}',
+         "field 'fold_accuracies' has the wrong type"),
+    ])
+    def test_show_report_names_the_file_and_the_bad_field(self, runner, tmp_path,
+                                                         report, message):
+        (tmp_path / "report.json").write_text(report, encoding="utf-8")
+        result = runner.invoke(main, ["show-report", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert f"{tmp_path / 'report.json'}: {message}" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("family", [f.name for f in FAMILIES])
+    def test_bundle_json_is_the_stdlib_indent_2_sorted_layout(self, runner, dataset_file,
+                                                              tmp_path, family):
+        out = tmp_path / family
+        result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", family,
+                                      "--joints", "c9", "--bagged-trees", "3",
+                                      "--epochs", "5", "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        for name in ("report.json", "config.json", "model.json"):
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 class TestGrid:
