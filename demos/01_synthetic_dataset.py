@@ -50,7 +50,7 @@ for label in (1, 2, 5, 6, 9):
 
 # class templates are pairwise separated well beyond the noise floor
 phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-templates = {l: np.stack([class_template(l, p) for p in phases]) for l in range(1, 10)}
+templates = {l: class_template(l, phases) for l in range(1, 10)}
 closest = min(
     (np.linalg.norm(templates[a] - templates[b], axis=2).mean(), a, b)
     for a in range(1, 10) for b in range(a + 1, 10)

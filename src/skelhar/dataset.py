@@ -16,6 +16,9 @@ constant per-frame hip translation. Per-joint isotropic Gaussian noise is
 added on top. All randomness flows from a 64-bit seed through per-sequence
 substreams keyed by (seed, participant, activity), so generation is
 reproducible and order-independent.
+Each sequence is posed, moved and rounded to the file precision as one
+(T, 28, 3) array, bit for bit as a per-frame build with a "%.9g" text round
+trip would give.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ class SynthSpec:
             raise ValueError("n_participants must be >= 1")
         if self.frames_per_sequence < 51:
             raise ValueError("frames_per_sequence must be >= 51")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if set(self.gait_speed_range) != set(DYNAMIC_LABELS):
@@ -125,7 +128,7 @@ class SynthSpec:
                 f"gait_speed_range must cover exactly the dynamic classes {DYNAMIC_LABELS}"
             )
         for label, (lo, hi) in self.gait_speed_range.items():
-            if not 0 < lo <= hi:
+            if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
                 raise ValueError(f"invalid speed range for class {label}: ({lo}, {hi})")
 
 
@@ -274,57 +277,71 @@ def read_dataset(path: str | Path) -> DatasetManifest:
 
 @dataclass(frozen=True)
 class _PoseParams:
-    pelvis_height: float
-    torso_pitch: float  # rad, positive leans toward +z
-    head_pitch: float  # rad, positive looks down
-    r_shoulder: float  # rad, positive swings the arm forward (+z)
-    l_shoulder: float
-    r_elbow: float  # rad, additional forward bend at the elbow
-    l_elbow: float
-    r_hip: float  # rad, positive swings the leg forward (+z)
-    l_hip: float
-    r_knee: float  # rad, positive pulls the heel backward
-    l_knee: float
+    pelvis_height: float | np.ndarray
+    torso_pitch: float | np.ndarray  # rad, positive leans toward +z
+    head_pitch: float | np.ndarray  # rad, positive looks down
+    r_shoulder: float | np.ndarray  # rad, positive swings the arm forward (+z)
+    l_shoulder: float | np.ndarray
+    r_elbow: float | np.ndarray  # rad, additional forward bend at the elbow
+    l_elbow: float | np.ndarray
+    r_hip: float | np.ndarray  # rad, positive swings the leg forward (+z)
+    l_hip: float | np.ndarray
+    r_knee: float | np.ndarray  # rad, positive pulls the heel backward
+    l_knee: float | np.ndarray
     lying: bool = False
 
 
-def _pitch_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def _libm(f, x) -> np.ndarray:
+    """math.sin or math.cos per element: libm's bits, which a SIMD np.sin may not give."""
+    return np.array([f(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
-def _sagittal(theta: float) -> np.ndarray:
-    """Unit vector in the y-z plane, theta radians forward of straight down."""
-    return np.array([0.0, -math.cos(theta), math.sin(theta)])
+def _vec(x, y, z) -> np.ndarray:
+    """Stack three broadcastable coordinates into (..., 3) vectors."""
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def _build_pose(p: _PoseParams) -> np.ndarray:
-    out = np.zeros((N_JOINTS, 3))
-    pelvis = np.array([0.0, p.pelvis_height, 0.0])
-    torso_up = np.array([0.0, math.cos(p.torso_pitch), math.sin(p.torso_pitch)])
+def _pitch_matrix(theta) -> np.ndarray:
+    c, s = _libm(math.cos, theta), _libm(math.sin, theta)
+    zero, one = np.zeros_like(c), np.ones_like(c)
+    return np.stack([_vec(one, zero, zero), _vec(zero, c, -s), _vec(zero, s, c)], axis=-2)
+
+
+def _sagittal(theta) -> np.ndarray:
+    """Unit vectors in the y-z plane, theta radians forward of straight down."""
+    return _vec(0.0, -_libm(math.cos, theta), _libm(math.sin, theta))
+
+
+def _build_pose(p: _PoseParams, shape: tuple[int, ...]) -> np.ndarray:
+    """The (*shape, 28, 3) joint positions of a posture whose angles broadcast to shape."""
+    out = np.zeros(shape + (N_JOINTS, 3))
+    pelvis = _vec(0.0, p.pelvis_height, 0.0)
+    torso_up = _vec(0.0, _libm(math.cos, p.torso_pitch), _libm(math.sin, p.torso_pitch))
 
     hip = pelvis
     lower = hip + 0.10 * torso_up
     middle = lower + 0.15 * torso_up
     chest = middle + 0.15 * torso_up
     neck = chest + 0.15 * torso_up
-    head_up = _pitch_matrix(p.torso_pitch + p.head_pitch) @ np.array([0.0, 1.0, 0.0])
+    # A matmul, not elementwise sums: its BLAS kernel fixes the summation order.
+    head_pitch = _pitch_matrix(p.torso_pitch + p.head_pitch)
+    head_up = head_pitch @ np.array([0.0, 1.0, 0.0])
     head = neck + 0.15 * head_up
     eff_head = head + 0.10 * head_up
-    eye = head + _pitch_matrix(p.torso_pitch + p.head_pitch) @ np.array([0.03, 0.02, 0.08])
+    eye = head + head_pitch @ np.array([0.03, 0.02, 0.08])
 
-    out[JointId.Hip] = hip
-    out[JointId.LowerSpine] = lower
-    out[JointId.MiddleSpine] = middle
-    out[JointId.Chest] = chest
-    out[JointId.Neck] = neck
-    out[JointId.Head] = head
-    out[JointId.EffectorHead] = eff_head
-    out[JointId.REye] = eye
+    out[..., JointId.Hip, :] = hip
+    out[..., JointId.LowerSpine, :] = lower
+    out[..., JointId.MiddleSpine, :] = middle
+    out[..., JointId.Chest, :] = chest
+    out[..., JointId.Neck, :] = neck
+    out[..., JointId.Head, :] = head
+    out[..., JointId.EffectorHead, :] = eff_head
+    out[..., JointId.REye, :] = eye
 
     com = hip + 0.35 * (chest - hip)
-    out[JointId.CenterOfMass] = com
-    out[JointId.CenterOfMassGroundProjection] = np.array([com[0], 0.0, com[2]])
+    out[..., JointId.CenterOfMass, :] = com
+    out[..., JointId.CenterOfMassGroundProjection, 0::2] = com[..., 0::2]
 
     for side, shoulder_pitch, elbow_bend, clav_id, sh_id, fore_id, hand_id in (
         (+1.0, p.r_shoulder, p.r_elbow, JointId.RClavicle, JointId.RShoulder,
@@ -332,14 +349,12 @@ def _build_pose(p: _PoseParams) -> np.ndarray:
         (-1.0, p.l_shoulder, p.l_elbow, JointId.LClavicle, JointId.LShoulder,
          JointId.LForearm, JointId.LHand),
     ):
-        clavicle = neck + np.array([side * 0.07, -0.02, 0.0])
         shoulder = neck + np.array([side * 0.19, -0.05, 0.0])
         elbow = shoulder + 0.28 * _sagittal(shoulder_pitch)
-        hand = elbow + 0.26 * _sagittal(shoulder_pitch + elbow_bend)
-        out[clav_id] = clavicle
-        out[sh_id] = shoulder
-        out[fore_id] = elbow
-        out[hand_id] = hand
+        out[..., clav_id, :] = neck + np.array([side * 0.07, -0.02, 0.0])
+        out[..., sh_id, :] = shoulder
+        out[..., fore_id, :] = elbow
+        out[..., hand_id, :] = elbow + 0.26 * _sagittal(shoulder_pitch + elbow_bend)
 
     for side, hip_pitch, knee_bend, thigh_id, shin_id, foot_id, toe_id, eff_id in (
         (+1.0, p.r_hip, p.r_knee, JointId.RThigh, JointId.RShin, JointId.RFoot,
@@ -351,34 +366,36 @@ def _build_pose(p: _PoseParams) -> np.ndarray:
         knee = thigh + 0.44 * _sagittal(hip_pitch)
         ankle = knee + 0.42 * _sagittal(hip_pitch - knee_bend)
         toe = ankle + np.array([0.0, -0.05, 0.13])
-        eff = toe + np.array([0.0, -0.01, 0.05])
-        out[thigh_id] = thigh
-        out[shin_id] = knee
-        out[foot_id] = ankle
-        out[toe_id] = toe
-        out[eff_id] = eff
+        out[..., thigh_id, :] = thigh
+        out[..., shin_id, :] = knee
+        out[..., foot_id, :] = ankle
+        out[..., toe_id, :] = toe
+        out[..., eff_id, :] = toe + np.array([0.0, -0.01, 0.05])
 
     if p.lying:
         # Rotate upright pose onto a couch surface: body axis along +x.
         rotated = np.empty_like(out)
-        rotated[:, 0] = out[:, 1]
-        rotated[:, 1] = 0.45 - out[:, 0]
-        rotated[:, 2] = out[:, 2]
+        rotated[..., 0] = out[..., 1]
+        rotated[..., 1] = 0.45 - out[..., 0]
+        rotated[..., 2] = out[..., 2]
         out = rotated
     return out
 
 
-def _swing(base: float, amplitude: float, phase: float) -> float:
-    return base + amplitude * max(0.0, math.sin(phase))
+def _swing(base: float, amplitude: float, phase: np.ndarray) -> np.ndarray:
+    return base + amplitude * np.maximum(0.0, _libm(math.sin, phase))
 
 
-def class_template(label: int, phase: float = 0.0) -> np.ndarray:
-    """The noiseless (28, 3) posture of an activity class at a gait phase.
+def class_template(label: int, phase: float | np.ndarray = 0.0) -> np.ndarray:
+    """The noiseless posture of an activity class at one or more gait phases.
 
+    A scalar phase gives one (28, 3) pose; a 1-D array of T phases gives the
+    (T, 28, 3) poses in one pass, each bitwise equal to the scalar call.
     Stationary classes ignore phase. This is the template the generator
     scales, rotates, and translates per sequence.
     """
-    s = math.sin(phase)
+    phase = np.asarray(phase, dtype=np.float64)
+    s = _libm(math.sin, phase)
     if label == 1:  # sitting on office chair, hands at keyboard
         p = _PoseParams(0.55, -0.08, 0.05, 0.55, 0.55, 0.95, 0.95,
                         1.45, 1.45, 1.40, 1.40)
@@ -408,28 +425,43 @@ def class_template(label: int, phase: float = 0.0) -> np.ndarray:
                         0.38 * s, -0.38 * s,
                         _swing(0.10, 0.40, phase), _swing(0.10, 0.40, phase + math.pi))
     elif label == 9:  # running: long stride, high heels, bent arms
-        p = _PoseParams(0.98 + 0.02 * math.sin(2 * phase), 0.12, 0.0,
+        p = _PoseParams(0.98 + 0.02 * _libm(math.sin, 2 * phase), 0.12, 0.0,
                         -0.55 * s, 0.55 * s, 1.15, 1.15,
                         0.80 * s, -0.80 * s,
                         _swing(0.15, 0.85, phase), _swing(0.15, 0.85, phase + math.pi))
     else:
         raise ValueError(f"activity label must be in 1..9, got {label}")
-    return _build_pose(p)
+    return _build_pose(p, phase.shape)
 
 
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------
 
-def _yaw_matrix(yaw: float) -> np.ndarray:
-    c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+_POW10 = np.array([float(10**k) for k in range(23)])  # 10**k, exact for k <= 22
 
 
 def _quantize_sig9(a: np.ndarray) -> np.ndarray:
-    """Round every value to 9 significant decimal digits (the file precision)."""
-    text = ",".join(format_sig9(a.reshape(len(a), -1)))
-    return np.array(text.split(","), dtype=np.float64).reshape(a.shape)
+    """Round every value to 9 significant decimal digits (the file precision).
+
+    Bitwise float("%.9g" % v), without text: |v| * 10**k, k = 8 - floor(log10|v|),
+    is rounded to an integer r, and r / 10**k is one correctly rounded operation
+    on exact doubles. Zero, non-finite, |k| > 22, a scaled value outside
+    [1e8, 1e9) (a misjudged log10) or within 1e-6 of a tie go through the text.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 8.0 - np.floor(np.log10(np.abs(a)))
+        fast = np.abs(k) <= 22  # False for zero, NaN and inf
+        k = np.where(fast, k, 0.0).astype(np.int64)
+        scale, up = _POW10[np.abs(k)], k >= 0
+        scaled = np.where(up, np.abs(a) * scale, np.abs(a) / scale)
+        r = np.rint(scaled)
+        fast &= (scaled >= 1e8) & (scaled < 1e9) & (np.abs(scaled - r) < 0.5 - 1e-6)
+    out = np.copysign(np.where(up, r / scale, r * scale), a)
+    if not fast.all():
+        out[~fast] = [float("%.9g" % v) for v in a[~fast].tolist()]
+    return out
 
 
 def _generate_sequence(spec: SynthSpec, participant: int, label: int) -> ActivitySequence:
@@ -438,23 +470,21 @@ def _generate_sequence(spec: SynthSpec, participant: int, label: int) -> Activit
     yaw = rng.uniform(-0.35, 0.35)
     home = np.array([rng.uniform(-1.0, 1.0), 0.0, rng.uniform(2.0, 4.0)])
     phase0 = rng.uniform(0.0, 2 * math.pi)
-    dynamic = label in DYNAMIC_LABELS
-    speed = rng.uniform(*spec.gait_speed_range[label]) if dynamic else 0.0
+    speed = rng.uniform(*spec.gait_speed_range[label]) if label in DYNAMIC_LABELS else 0.0
     rate = _GAIT_PHASE_RATES.get(label, 0.0)
 
     n = spec.frames_per_sequence
-    rot = _yaw_matrix(yaw)
+    c, s = math.cos(yaw), math.sin(yaw)
+    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
     heading = rot @ np.array([0.0, 0.0, 1.0])
     noise = rng.normal(0.0, spec.noise_sigma, size=(n, N_JOINTS, 3))
 
-    positions = np.empty((n, N_JOINTS, 3))
-    for t in range(n):
-        pose = class_template(label, phase0 + rate * t)
-        pose = (scale * pose) @ rot.T
-        walk = (t - (n - 1) / 2.0) * speed * heading
-        positions[t] = pose + home + walk
+    t = np.arange(n)
+    poses = class_template(label, phase0 + rate * t)
+    walk = ((t - (n - 1) / 2.0) * speed)[:, None, None] * heading
+    positions = (scale * poses) @ rot.T + home + walk
     positions = _quantize_sig9(positions + noise)
-    return ActivitySequence(participant, ActivityClass(label), positions, np.arange(n))
+    return ActivitySequence(participant, ActivityClass(label), positions, t)
 
 
 def generate_synthetic(spec: SynthSpec) -> DatasetManifest:

@@ -226,3 +226,163 @@ def per_feature_grow_tree(x, label_idx, class_set, max_splits):
         _enqueue(right, right_rows, right_counts)
         splits += 1
     return root
+
+
+# ---------------------------------------------------------------------------
+# Synthetic generation, one frame at a time
+# ---------------------------------------------------------------------------
+
+def _pitch_matrix(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def _sagittal(theta):
+    return np.array([0.0, -math.cos(theta), math.sin(theta)])
+
+
+def _build_pose(pelvis_height, torso_pitch, head_pitch, r_shoulder, l_shoulder,
+                r_elbow, l_elbow, r_hip, l_hip, r_knee, l_knee, lying=False):
+    """One (28, 3) pose from scalar joint angles."""
+    out = np.zeros((N_JOINTS, 3))
+    pelvis = np.array([0.0, pelvis_height, 0.0])
+    torso_up = np.array([0.0, math.cos(torso_pitch), math.sin(torso_pitch)])
+
+    hip = pelvis
+    lower = hip + 0.10 * torso_up
+    middle = lower + 0.15 * torso_up
+    chest = middle + 0.15 * torso_up
+    neck = chest + 0.15 * torso_up
+    head_up = _pitch_matrix(torso_pitch + head_pitch) @ np.array([0.0, 1.0, 0.0])
+    head = neck + 0.15 * head_up
+    eff_head = head + 0.10 * head_up
+    eye = head + _pitch_matrix(torso_pitch + head_pitch) @ np.array([0.03, 0.02, 0.08])
+
+    out[JointId.Hip] = hip
+    out[JointId.LowerSpine] = lower
+    out[JointId.MiddleSpine] = middle
+    out[JointId.Chest] = chest
+    out[JointId.Neck] = neck
+    out[JointId.Head] = head
+    out[JointId.EffectorHead] = eff_head
+    out[JointId.REye] = eye
+
+    com = hip + 0.35 * (chest - hip)
+    out[JointId.CenterOfMass] = com
+    out[JointId.CenterOfMassGroundProjection] = np.array([com[0], 0.0, com[2]])
+
+    for side, shoulder_pitch, elbow_bend, clav_id, sh_id, fore_id, hand_id in (
+        (+1.0, r_shoulder, r_elbow, JointId.RClavicle, JointId.RShoulder,
+         JointId.RForearm, JointId.RHand),
+        (-1.0, l_shoulder, l_elbow, JointId.LClavicle, JointId.LShoulder,
+         JointId.LForearm, JointId.LHand),
+    ):
+        shoulder = neck + np.array([side * 0.19, -0.05, 0.0])
+        elbow = shoulder + 0.28 * _sagittal(shoulder_pitch)
+        out[clav_id] = neck + np.array([side * 0.07, -0.02, 0.0])
+        out[sh_id] = shoulder
+        out[fore_id] = elbow
+        out[hand_id] = elbow + 0.26 * _sagittal(shoulder_pitch + elbow_bend)
+
+    for side, hip_pitch, knee_bend, thigh_id, shin_id, foot_id, toe_id, eff_id in (
+        (+1.0, r_hip, r_knee, JointId.RThigh, JointId.RShin, JointId.RFoot,
+         JointId.RToe, JointId.EffectorRToe),
+        (-1.0, l_hip, l_knee, JointId.LThigh, JointId.LShin, JointId.LFoot,
+         JointId.LToe, JointId.EffectorLToe),
+    ):
+        thigh = pelvis + np.array([side * 0.09, -0.02, 0.0])
+        knee = thigh + 0.44 * _sagittal(hip_pitch)
+        ankle = knee + 0.42 * _sagittal(hip_pitch - knee_bend)
+        toe = ankle + np.array([0.0, -0.05, 0.13])
+        out[thigh_id] = thigh
+        out[shin_id] = knee
+        out[foot_id] = ankle
+        out[toe_id] = toe
+        out[eff_id] = toe + np.array([0.0, -0.01, 0.05])
+
+    if lying:
+        rotated = np.empty_like(out)
+        rotated[:, 0] = out[:, 1]
+        rotated[:, 1] = 0.45 - out[:, 0]
+        rotated[:, 2] = out[:, 2]
+        out = rotated
+    return out
+
+
+def _swing(base, amplitude, phase):
+    return base + amplitude * max(0.0, math.sin(phase))
+
+
+def per_frame_class_template(label, phase):
+    """class_template for one scalar phase, from Python floats and math.sin."""
+    s = math.sin(phase)
+    if label == 1:
+        return _build_pose(0.55, -0.08, 0.05, 0.55, 0.55, 0.95, 0.95,
+                           1.45, 1.45, 1.40, 1.40)
+    if label == 2:
+        return _build_pose(1.00, 0.03, 0.62, 0.62, 0.30, 1.65, 0.80,
+                           0.00, 0.00, 0.03, 0.03)
+    if label == 3:
+        return _build_pose(0.70, 0.18, 0.15, 0.35, 0.35, 0.55, 0.55,
+                           1.10, 1.10, 1.45, 1.45)
+    if label == 4:
+        return _build_pose(0.0, 0.0, 0.10, 0.90, 0.90, 1.90, 1.90,
+                           0.35, 0.35, 0.50, 0.50, lying=True)
+    if label == 5:
+        return _build_pose(1.00, 0.06, 0.0, -0.40 * s, 0.40 * s, 0.20, 0.20,
+                           0.45 * s, -0.45 * s,
+                           _swing(0.10, 0.45, phase), _swing(0.10, 0.45, phase + math.pi))
+    if label == 6:
+        return _build_pose(1.00, 0.03, 0.62, 0.40, 0.40, 1.55, 1.55,
+                           0.45 * s, -0.45 * s,
+                           _swing(0.10, 0.45, phase), _swing(0.10, 0.45, phase + math.pi))
+    if label == 7:
+        return _build_pose(1.00, -0.08, 0.0, 1.05, 1.05, 0.25, 0.25,
+                           0.32 * s, -0.32 * s,
+                           _swing(0.10, 0.32, phase), _swing(0.10, 0.32, phase + math.pi))
+    if label == 8:
+        return _build_pose(1.00, 0.30, 0.05, -0.75, 0.25 * s, 0.15, 0.25,
+                           0.38 * s, -0.38 * s,
+                           _swing(0.10, 0.40, phase), _swing(0.10, 0.40, phase + math.pi))
+    if label == 9:
+        return _build_pose(0.98 + 0.02 * math.sin(2 * phase), 0.12, 0.0,
+                           -0.55 * s, 0.55 * s, 1.15, 1.15,
+                           0.80 * s, -0.80 * s,
+                           _swing(0.15, 0.85, phase), _swing(0.15, 0.85, phase + math.pi))
+    raise ValueError(label)
+
+
+def sig9_by_text(a):
+    """Every value rounded to 9 significant digits through "%.9g" text."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.array([float("%.9g" % v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def per_frame_sequence(spec, participant, label, rounded=True):
+    """_generate_sequence's frames, posed and moved one frame at a time.
+
+    The RNG is drawn in the generator's order: scale, yaw, home x, home z,
+    phase, speed (dynamic classes only), then the (T, 28, 3) noise block.
+    The frames are rounded through "%.9g" text unless rounded is False.
+    """
+    rng = np.random.default_rng([spec.seed, participant, label])
+    scale = rng.uniform(0.92, 1.08)
+    yaw = rng.uniform(-0.35, 0.35)
+    home = np.array([rng.uniform(-1.0, 1.0), 0.0, rng.uniform(2.0, 4.0)])
+    phase0 = rng.uniform(0.0, 2 * math.pi)
+    dynamic = label >= 5
+    speed = rng.uniform(*spec.gait_speed_range[label]) if dynamic else 0.0
+    rate = (2 * math.pi / 14 if label == 9 else 2 * math.pi / 24) if dynamic else 0.0
+
+    n = spec.frames_per_sequence
+    c, s = math.cos(yaw), math.sin(yaw)
+    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    heading = rot @ np.array([0.0, 0.0, 1.0])
+    noise = rng.normal(0.0, spec.noise_sigma, size=(n, N_JOINTS, 3))
+
+    positions = np.empty((n, N_JOINTS, 3))
+    for t in range(n):
+        pose = (scale * per_frame_class_template(label, phase0 + rate * t)) @ rot.T
+        walk = (t - (n - 1) / 2.0) * speed * heading
+        positions[t] = pose + home + walk
+    return sig9_by_text(positions + noise) if rounded else positions + noise

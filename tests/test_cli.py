@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -67,6 +71,28 @@ class TestSynth:
         result = runner.invoke(main, ["synth", "--frames", "10", "-o",
                                       str(tmp_path / "x.csv")])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_runtime_error(self, runner, tmp_path, noise):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["synth", "--participants", "1", "--noise", noise,
+                                      "-o", str(out)])
+        assert result.exit_code == 1
+        assert "noise_sigma" in result.output
+        assert not out.exists()
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            out = tmp_path / f"threads{threads}.csv"
+            subprocess.run([sys.executable, "-m", "skelhar", "synth", "--participants", "1",
+                            "--seed", "0", "-o", str(out)], env=env, check=True,
+                           capture_output=True, timeout=120)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestExtract:

@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import skelhar.dataset
 from skelhar import (
     DatasetFormatError,
     DatasetManifest,
@@ -17,8 +19,9 @@ from skelhar import (
     validate_sequence,
     write_dataset,
 )
-from skelhar.dataset import csv_columns
+from skelhar.dataset import _generate_sequence, _quantize_sig9, csv_columns
 from conftest import make_sequence
+from oracles import per_frame_class_template, per_frame_sequence, sig9_by_text
 
 
 def manifests_equal(a: DatasetManifest, b: DatasetManifest) -> bool:
@@ -246,10 +249,7 @@ class TestGenerateSynthetic:
         # mean joint distance across a gait cycle must clear 5x the default
         # noise sigma (0.01 m) for every class pair
         phases = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
-        templates = {
-            label: np.stack([class_template(label, p) for p in phases])
-            for label in range(1, 10)
-        }
+        templates = {label: class_template(label, phases) for label in range(1, 10)}
         for a in range(1, 10):
             for b in range(a + 1, 10):
                 dist = np.linalg.norm(templates[a] - templates[b], axis=2).mean()
@@ -264,6 +264,112 @@ class TestGenerateSynthetic:
             SynthSpec(n_participants=0)
         with pytest.raises(ValueError):
             SynthSpec(gait_speed_range={5: (0.01, 0.02)})
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_spec_rejects_non_finite_noise(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SynthSpec(noise_sigma=sigma)
+
+    @pytest.mark.parametrize("bounds", [(0.02, math.inf), (math.nan, 0.03),
+                                        (0.02, math.nan), (math.inf, math.inf)])
+    def test_spec_rejects_non_finite_speed_range(self, bounds):
+        ranges = dict(SynthSpec().gait_speed_range)
+        ranges[7] = bounds
+        with pytest.raises(ValueError, match="class 7"):
+            SynthSpec(gait_speed_range=ranges)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGenerationOracle:
+    """The array-at-a-time generator against its per-frame, text-rounded oracle."""
+
+    PHASES = [0.0, math.pi / 2, math.pi, 2 * math.pi, -7.3, 1e3]
+
+    @pytest.mark.parametrize("label", range(1, 10))
+    def test_class_template_phase_array_matches_per_frame_oracle(self, label):
+        expected = np.stack([per_frame_class_template(label, p) for p in self.PHASES])
+        assert _same_bits(class_template(label, np.array(self.PHASES)), expected)
+        for p, frame in zip(self.PHASES, expected):
+            assert _same_bits(class_template(label, p), frame)
+
+    def test_class_template_rejects_unknown_label(self):
+        with pytest.raises(ValueError, match="1..9"):
+            class_template(10, np.zeros(3))
+
+    @pytest.mark.parametrize("seed,participant,label,frames,noise", [
+        (0, 1, 1, 60, 0.01),
+        (0, 3, 4, 60, 0.01),
+        (42, 2, 5, 51, 0.01),
+        (123456789, 1, 9, 51, 0.01),
+        (7, 4, 8, 120, 0.01),
+        (5, 2, 6, 60, 0.0),
+        (5, 1, 7, 60, 0.0),
+        (2**64 - 1, 16, 9, 75, 0.05),
+    ])
+    def test_generate_sequence_matches_per_frame_oracle(self, monkeypatch, seed, participant,
+                                                        label, frames, noise):
+        spec = SynthSpec(n_participants=participant, frames_per_sequence=frames,
+                         noise_sigma=noise, seed=seed)
+        seq = _generate_sequence(spec, participant, label)
+        assert _same_bits(seq.frames, per_frame_sequence(spec, participant, label))
+        assert np.array_equal(seq.frame_index, np.arange(frames))
+        # 9-digit rounding hides last-bit differences, so compare before it too.
+        monkeypatch.setattr(skelhar.dataset, "_quantize_sig9", lambda a: a)
+        unrounded = _generate_sequence(spec, participant, label).frames
+        assert _same_bits(unrounded, per_frame_sequence(spec, participant, label, rounded=False))
+
+
+_POWERS_OF_TEN = np.array([10.0 ** k for k in range(-30, 31)])
+_SPECIAL_VALUES = np.concatenate([
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+     np.finfo(float).max, -np.finfo(float).max, 0.1234567885, -0.1234567885,
+     123456788.5, 9.999999995, 999999999.5, 1e-20, 3.3e40],
+    _POWERS_OF_TEN,
+    np.nextafter(_POWERS_OF_TEN, 0.0),
+    np.nextafter(_POWERS_OF_TEN, math.inf),
+])
+
+
+class TestQuantizeSig9:
+    """_quantize_sig9 is bitwise float("%.9g" % v), sign bit and NaN included."""
+
+    @staticmethod
+    def _assert_matches_text(values):
+        values = np.asarray(values, dtype=np.float64)
+        got, want = _quantize_sig9(values), sig9_by_text(values)
+        assert got.shape == values.shape
+        same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+        assert same.all(), values[~same][:5]
+
+    def test_special_values_and_powers_of_ten(self):
+        self._assert_matches_text(_SPECIAL_VALUES)
+        self._assert_matches_text(-_SPECIAL_VALUES)
+
+    def test_nine_digit_ties_at_every_scale(self):
+        digits = np.random.default_rng(0).integers(10**8, 10**9, 200)
+        for k in range(-25, 26):
+            ties = (digits + 0.5) / 10.0**k if k >= 0 else (digits + 0.5) * 10.0**-k
+            self._assert_matches_text(ties)
+            self._assert_matches_text(np.nextafter(ties, 0.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.sampled_from(_SPECIAL_VALUES.tolist())
+        | st.builds(lambda sign, digits, half, k: sign * (digits + half) / 10.0**k,
+                    st.sampled_from([1.0, -1.0]), st.integers(10**8, 10**9 - 1),
+                    st.sampled_from([0.0, 0.5]), st.integers(-30, 30)),
+        min_size=1, max_size=40))
+    def test_matches_text_rounding(self, values):
+        self._assert_matches_text(values)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_text_rounding_on_normal_draws(self, seed):
+        self._assert_matches_text(np.random.default_rng(seed).normal(2.0, 1.0, (60, 28, 3)))
 
 
 class TestDepthPairFixture:
