@@ -130,9 +130,7 @@ def train_arrays(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> TrainedM
 
 
 def train(spec: ClassifierSpec, features: FeatureMatrix) -> TrainedModel:
-    """Train on a labeled feature matrix."""
-    if features.labels is None:
-        raise ValueError("training requires a labeled feature matrix")
+    """Train on a feature matrix and its labels."""
     return train_arrays(spec, features.rows, features.labels)
 
 

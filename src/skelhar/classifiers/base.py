@@ -19,7 +19,8 @@ if TYPE_CHECKING:
 
 
 class HyperparameterError(ValueError):
-    """A hyperparameter outside its domain; `field` names the dataclass field."""
+    """A parameter outside its domain; `field` names the dataclass field, or
+    `split` for split shares that do not sum to 1."""
 
     def __init__(self, field: str, rule: str, value):
         super().__init__(f"{field} must be {rule}, got {value!r}")
@@ -127,6 +128,9 @@ class TrainedModel:
                 f"row dimension {rows.shape[1]} does not match training dimension "
                 f"{n_features}"
             )
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"query row {int(np.argmin(finite))} contains non-finite values")
         return rows
 
     def predict(self, rows: np.ndarray) -> np.ndarray:

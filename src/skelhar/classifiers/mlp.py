@@ -91,18 +91,19 @@ class MlpModel(TrainedModel):
         self.n_in = n_in
 
     def _logits(self, rows: np.ndarray) -> np.ndarray:
+        """(n_rows, n_classes) output-layer activations before the softmax."""
+        rows = self._check_rows(rows, self.n_in)
         w1, b1, w2, b2 = _unpack(self.weights, self.n_in, self.spec.hidden_width,
                                  len(self.class_set))
         return np.maximum(rows @ w1 + b1, 0.0) @ w2 + b2
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        rows = self._check_rows(rows, self.n_in)
-        # argmax picks the first maximum: logit ties go to the smallest label
+        # argmax of the logits, not of the rounded softmax, picks the first
+        # maximum: logit ties go to the smallest label
         return self.class_set[np.argmax(self._logits(rows), axis=1)]
 
     def decision_scores(self, rows: np.ndarray) -> np.ndarray:
         """Softmax class probabilities."""
-        rows = self._check_rows(rows, self.n_in)
         logits = self._logits(rows)
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)

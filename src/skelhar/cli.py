@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error. Every command is
 deterministic given its arguments and input files; --seed is the only
 entropy source. A --config file supplies flat key=value defaults mirroring
 the flag names; explicit flags override file values.
+
+The pipeline flags only parse text. Their choices come from the Modality
+and StratifyBy enums, features.SUBSETS and FAMILIES; their defaults are the
+flat form of a default-built PipelineConfig; and the dataclasses check
+every bound, with a HyperparameterError reported as a usage error that
+names the flag.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .evaluation import (
     StratifyBy,
     run_matrix_experiment,
 )
-from .features import Modality, build_feature_matrix, parse_subset
+from .features import SUBSETS, Modality, parse_subset
 
 CLASSIFIER_NAMES = tuple(family.name for family in FAMILIES)
 _FAMILIES = {family.name: family for family in FAMILIES}
@@ -50,36 +56,154 @@ _FLAG_DEFAULTS = {
     for family in FAMILIES
     for flag, field in family.flags.items()
 }
-# spec or config field -> the flag that sets it, so errors name the flag
+# spec or config field -> the flag that sets it, where the names differ, so
+# errors name the flag
 _FIELD_FLAGS = {
     "variance_threshold": "pca-var",
+    **dict.fromkeys(SplitPlan.SHARES, "split"),
     **{field: flag for family in FAMILIES for flag, field in family.flags.items()},
 }
 
-# file key (= flag name) -> (default, help), for every pipeline parameter
-_PIPELINE_PARAMS = {
-    "modality": ("coordinates", "feature modality: coordinates|velocity|acceleration"),
-    "joints": ("c28", "joint subset: c9|c18|c28|list:<JointName,...>"),
-    "dims": ("3", "feature dimensionality per joint: 2|3"),
-    "pca": ("off", "PCA dimensionality reduction: on|off"),
-    "pca-var": ("0.95", "explained-variance threshold for PCA"),
-    "classifier": (DEFAULT_FAMILY, "|".join(CLASSIFIER_NAMES)),
-    **{flag: (repr(_FLAG_DEFAULTS[flag]), text) for flag, text in FLAG_HELP.items()},
-    "split": ("60,20,20", "train,test,validation shares"),
-    "folds": ("5", "cross-validation folds"),
-    "stratify": ("class", "split stratification: class|participant"),
-    "seed": ("0", "64-bit seed; the only entropy source"),
-    "frame-list": ("", "explicit 51 source-frame positions (default: centered window)"),
+
+def _choices(enum_type) -> tuple[str, ...]:
+    return tuple(member.value for member in enum_type)
+
+
+# file key (= flag name) -> help, for every pipeline parameter, in --help order
+_PIPELINE_HELP = {
+    "modality": "feature modality: " + "|".join(_choices(Modality)),
+    "joints": "joint subset: " + "|".join(SUBSETS) + "|list:<JointName,...>",
+    "dims": "feature dimensionality per joint: 2|3",
+    "pca": "PCA dimensionality reduction: on|off",
+    "pca-var": "explained-variance threshold for PCA",
+    "classifier": "|".join(CLASSIFIER_NAMES),
+    **FLAG_HELP,
+    "split": "train,test,validation shares",
+    "folds": "cross-validation folds",
+    "stratify": "split stratification: " + "|".join(_choices(StratifyBy)),
+    "seed": "64-bit seed; the only entropy source",
+    "frame-list": "explicit 51 source-frame positions (default: centered window)",
 }
 
-_PIPELINE_DEFAULTS = {key: default for key, (default, _) in _PIPELINE_PARAMS.items()}
+
+def _parse_number(values: dict[str, str], key: str, kind: type[int] | type[float]):
+    try:
+        return kind(values[key])
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise click.UsageError(f"--{key} must be {noun}, got {values[key]!r}") from None
+
+
+def _parse_choice(values: dict[str, str], key: str, choices: tuple[str, ...]) -> str:
+    v = values[key]
+    if v not in choices:
+        raise click.UsageError(f"--{key} must be one of {{{', '.join(choices)}}}, got {v!r}")
+    return v
+
+
+def _parse_split(values: dict[str, str]) -> tuple[float, float, float]:
+    text = values["split"]
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise click.UsageError(f"--split expects three comma-separated shares, got {text!r}")
+    try:
+        shares = [float(p) for p in parts]
+    except ValueError:
+        raise click.UsageError(f"--split shares must be numbers, got {text!r}") from None
+    total = sum(shares)
+    if abs(total - 100.0) < 1e-6:
+        shares = [s / 100.0 for s in shares]
+    elif abs(total - 1.0) > 1e-9:
+        raise click.UsageError(f"--split shares must sum to 100 (or 1.0), got {text!r}")
+    return shares[0], shares[1], shares[2]
+
+
+def _build_classifier(values: dict[str, str], seed: int) -> ClassifierSpec:
+    """The selected family's spec; its __post_init__ checks the bounds."""
+    family = _FAMILIES[_parse_choice(values, "classifier", CLASSIFIER_NAMES)]
+    fields = {
+        field: _parse_number(values, flag, type(_FLAG_DEFAULTS[flag]))
+        for flag, field in family.flags.items()
+    }
+    return family.spec(**fields, seed=seed)
+
+
+def _parse_frame_list(values: dict[str, str]) -> tuple[int, ...] | None:
+    text = values["frame-list"].strip()
+    if not text:
+        return None
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise click.UsageError(
+            f"--frame-list must be comma-separated integers, got {text!r}") from None
+
+
+def build_config(values: dict[str, str]) -> PipelineConfig:
+    """Build a PipelineConfig from flat key=value parameters.
+
+    This is the parsing half of the config-file round trip; config_to_flat
+    is its inverse.
+    """
+    try:
+        seed = _parse_number(values, "seed", int)
+        stratify = _parse_choice(values, "stratify", _choices(StratifyBy))
+        return PipelineConfig(
+            modality=Modality(_parse_choice(values, "modality", _choices(Modality))),
+            subset=parse_subset(values["joints"]),
+            dims=_parse_number(values, "dims", int),
+            pca=PcaConfig(_parse_choice(values, "pca", ("on", "off")) == "on",
+                          _parse_number(values, "pca-var", float)),
+            classifier=_build_classifier(values, seed),
+            split=SplitPlan(*_parse_split(values), StratifyBy(stratify), seed),
+            folds=_parse_number(values, "folds", int),
+            seed=seed,
+            frame_positions=_parse_frame_list(values),
+        )
+    except HyperparameterError as exc:
+        raise click.UsageError(f"--{_FIELD_FLAGS.get(exc.field, exc.field)}: {exc}") from None
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
+def config_to_flat(config: PipelineConfig) -> dict[str, str]:
+    """Serialize a PipelineConfig to the flat key=value file format. The
+    flags of the families it does not select keep their spec defaults."""
+    family = family_of(config.classifier)
+    subset = config.subset
+    return {
+        "modality": config.modality.value,
+        "joints": (subset.name if subset.name in SUBSETS
+                   else "list:" + ",".join(j.name for j in subset.joints)),
+        "dims": str(config.dims),
+        "pca": "on" if config.pca.enabled else "off",
+        "pca-var": repr(config.pca.variance_threshold),
+        "classifier": family.name,
+        **{flag: repr(value) for flag, value in _FLAG_DEFAULTS.items()},
+        **{flag: repr(getattr(config.classifier, field)) for flag, field in family.flags.items()},
+        "split": ",".join(repr(getattr(config.split, name)) for name in SplitPlan.SHARES),
+        "stratify": config.split.stratify_by.value,
+        "folds": str(config.folds),
+        "seed": str(config.seed),
+        "frame-list": ",".join(map(str, config.frame_positions or ())),
+    }
+
+
+_DEFAULT_CONFIG = PipelineConfig(classifier=_FAMILIES[DEFAULT_FAMILY].spec())
+_PIPELINE_DEFAULTS = config_to_flat(_DEFAULT_CONFIG)
 
 
 def _pipeline_options(fn):
-    for key, (default, text) in reversed(list(_PIPELINE_PARAMS.items())):
-        shown = default if default else "unset"
+    shown = {
+        **_PIPELINE_DEFAULTS,
+        # percentages, the form --split is usually given in
+        "split": ",".join(f"{100 * getattr(_DEFAULT_CONFIG.split, name):g}"
+                          for name in SplitPlan.SHARES),
+        "frame-list": "unset",
+    }
+    for key, text in reversed(_PIPELINE_HELP.items()):
         fn = click.option(f"--{key}", key.replace("-", "_"), type=str, default=None,
-                          help=f"{text} [default: {shown}]")(fn)
+                          help=f"{text} [default: {shown[key]}]")(fn)
     fn = click.option("--config", "config_path", type=str, default=None,
                       help="flat key=value config file; flags override it")(fn)
     return fn
@@ -115,140 +239,6 @@ def _resolve(config_path: str | None, **flag_values: str | None) -> dict[str, st
         if value is not None:
             resolved[param.replace("_", "-")] = value
     return resolved
-
-
-def _usage(message: str) -> click.UsageError:
-    return click.UsageError(message)
-
-
-def _parse_int(values: dict[str, str], key: str, minimum: int | None = None) -> int:
-    try:
-        v = int(values[key])
-    except ValueError:
-        raise _usage(f"--{key} must be an integer, got {values[key]!r}") from None
-    if minimum is not None and v < minimum:
-        raise _usage(f"--{key} must be >= {minimum}, got {v}")
-    return v
-
-
-def _parse_float(values: dict[str, str], key: str) -> float:
-    try:
-        return float(values[key])
-    except ValueError:
-        raise _usage(f"--{key} must be a number, got {values[key]!r}") from None
-
-
-def _parse_choice(values: dict[str, str], key: str, choices: tuple[str, ...]) -> str:
-    v = values[key]
-    if v not in choices:
-        raise _usage(f"--{key} must be one of {{{', '.join(choices)}}}, got {v!r}")
-    return v
-
-
-def _parse_split(values: dict[str, str]) -> tuple[float, float, float]:
-    parts = values["split"].split(",")
-    if len(parts) != 3:
-        raise _usage(f"--split expects three comma-separated shares, got {values['split']!r}")
-    try:
-        shares = [float(p) for p in parts]
-    except ValueError:
-        raise _usage(f"--split shares must be numbers, got {values['split']!r}") from None
-    total = sum(shares)
-    if abs(total - 100.0) < 1e-6:
-        shares = [s / 100.0 for s in shares]
-    elif abs(total - 1.0) > 1e-9:
-        raise _usage(f"--split shares must sum to 100 (or 1.0), got {values['split']!r}")
-    return shares[0], shares[1], shares[2]
-
-
-_PARSERS = {int: _parse_int, float: _parse_float}
-
-
-def _build_classifier(values: dict[str, str], seed: int) -> ClassifierSpec:
-    """The selected family's spec; its __post_init__ checks the bounds."""
-    family = _FAMILIES[_parse_choice(values, "classifier", CLASSIFIER_NAMES)]
-    fields = {
-        field: _PARSERS[type(_FLAG_DEFAULTS[flag])](values, flag)
-        for flag, field in family.flags.items()
-    }
-    return family.spec(**fields, seed=seed)
-
-
-def _parse_frame_list(values: dict[str, str]) -> tuple[int, ...] | None:
-    text = values["frame-list"].strip()
-    if not text:
-        return None
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise _usage(f"--frame-list must be comma-separated integers, got {text!r}") from None
-
-
-def build_config(values: dict[str, str]) -> PipelineConfig:
-    """Build a PipelineConfig from flat key=value parameters.
-
-    This is the parsing half of the config-file round trip; config_to_flat
-    is its inverse.
-    """
-    try:
-        modality = Modality(_parse_choice(
-            values, "modality", ("coordinates", "velocity", "acceleration")))
-        dims = _parse_int(values, "dims")
-        if dims not in (2, 3):
-            raise _usage(f"--dims must be 2 or 3, got {dims}")
-        try:
-            subset = parse_subset(values["joints"])
-        except ValueError as exc:
-            raise _usage(str(exc)) from None
-        pca_enabled = _parse_choice(values, "pca", ("on", "off")) == "on"
-        pca_var = _parse_float(values, "pca-var")
-        seed = _parse_int(values, "seed", 0)
-        train, test, val = _parse_split(values)
-        stratify = StratifyBy(_parse_choice(values, "stratify", ("class", "participant")))
-        folds = _parse_int(values, "folds", 2)
-        classifier = _build_classifier(values, seed)
-        return PipelineConfig(
-            modality=modality,
-            subset=subset,
-            dims=dims,
-            pca=PcaConfig(pca_enabled, pca_var),
-            classifier=classifier,
-            split=SplitPlan(train, test, val, stratify, seed),
-            folds=folds,
-            seed=seed,
-            frame_positions=_parse_frame_list(values),
-        )
-    except HyperparameterError as exc:
-        raise _usage(f"--{_FIELD_FLAGS[exc.field]}: {exc}") from None
-    except ValueError as exc:
-        raise _usage(str(exc)) from None
-
-
-def config_to_flat(config: PipelineConfig) -> dict[str, str]:
-    """Serialize a PipelineConfig to the flat key=value file format."""
-    values = dict(_PIPELINE_DEFAULTS)
-    values["modality"] = config.modality.value
-    if config.subset.name == "custom":
-        values["joints"] = "list:" + ",".join(j.name for j in config.subset.joints)
-    else:
-        values["joints"] = config.subset.name
-    values["dims"] = str(config.dims)
-    values["pca"] = "on" if config.pca.enabled else "off"
-    values["pca-var"] = repr(config.pca.variance_threshold)
-    values["split"] = ",".join(
-        repr(v) for v in (config.split.train_frac, config.split.test_frac,
-                          config.split.validation_frac)
-    )
-    values["stratify"] = config.split.stratify_by.value
-    values["folds"] = str(config.folds)
-    values["seed"] = str(config.seed)
-    if config.frame_positions is not None:
-        values["frame-list"] = ",".join(str(p) for p in config.frame_positions)
-    family = family_of(config.classifier)
-    values["classifier"] = family.name
-    for flag, field in family.flags.items():
-        values[flag] = repr(getattr(config.classifier, field))
-    return values
 
 
 @click.group()
@@ -288,10 +278,7 @@ def extract(dataset, output, config_path, **flags):
     values = _resolve(config_path, **flags)
     config = build_config(values)
     try:
-        manifest = read_dataset(dataset)
-        matrix = build_feature_matrix(manifest, config.modality, config.subset,
-                                      config.dims, labeled=True,
-                                      frame_positions=config.frame_positions)
+        matrix = config.feature_matrix(read_dataset(dataset))
         header = ",".join([f"f{i}" for i in range(matrix.n_features)] + ["label"])
         write_lines(output, header, (f"{row},{label}" for row, label
                                      in zip(format_sig9(matrix.rows), matrix.labels)))
@@ -312,9 +299,7 @@ def evaluate(dataset, output, config_path, **flags):
     try:
         # read_dataset has already validated every sequence: skip
         # run_experiment's check, which serves direct API callers
-        matrix = build_feature_matrix(read_dataset(dataset), config.modality,
-                                      config.subset, config.dims, labeled=True,
-                                      frame_positions=config.frame_positions)
+        matrix = config.feature_matrix(read_dataset(dataset))
         result = run_matrix_experiment(config, matrix, out_dir=output)
     except (ValueError, OSError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc
@@ -333,12 +318,12 @@ def _grid_axis(values: dict[str, str], key: str) -> list[str]:
     items: list[str] = []
     for token in filter(None, values[key].split(",")):
         if (key == "joints" and items and items[-1].startswith("list:")
-                and token not in ("c9", "c18", "c28") and not token.startswith("list:")):
+                and token not in SUBSETS and not token.startswith("list:")):
             items[-1] += "," + token
         else:
             items.append(token)
     if not items:
-        raise _usage(f"--{key} grid axis is empty")
+        raise click.UsageError(f"--{key} grid axis is empty")
     return items
 
 
@@ -368,7 +353,7 @@ def grid(dataset, output, jobs, config_path, **flags):
     """
     values = _resolve(config_path, **flags)
     if jobs < 1:
-        raise _usage("--jobs must be >= 1")
+        raise click.UsageError("--jobs must be >= 1")
     cells = [build_config({**values, **dict(zip(_GRID_AXES, combo))})
              for combo in itertools.product(*(_grid_axis(values, key) for key in _GRID_AXES))]
 
@@ -379,10 +364,7 @@ def grid(dataset, output, jobs, config_path, **flags):
             # custom subsets share the name "custom", so key on the joints
             key = (config.modality, config.subset.joints, config.dims)
             if key not in matrices:
-                matrices[key] = build_feature_matrix(
-                    manifest, config.modality, config.subset, config.dims,
-                    labeled=True, frame_positions=config.frame_positions,
-                )
+                matrices[key] = config.feature_matrix(manifest)
             cell_matrices.append(matrices[key])
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -484,6 +484,9 @@ def _generate_sequence(spec: SynthSpec, participant: int, label: int) -> Activit
     walk = ((t - (n - 1) / 2.0) * speed)[:, None, None] * heading
     positions = (scale * poses) @ rot.T + home + walk
     positions = _quantize_sig9(positions + noise)
+    if not np.isfinite(positions).all():
+        raise ValueError(f"noise_sigma={spec.noise_sigma!r} gives non-finite coordinates "
+                         f"(participant {participant}, activity {label})")
     return ActivitySequence(participant, ActivityClass(label), positions, t)
 
 

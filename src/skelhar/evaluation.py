@@ -31,12 +31,7 @@ from .classifiers import (
     train_arrays,
 )
 from .dataset import DatasetManifest, format_sig9, write_lines
-from .features import (
-    FeatureMatrix,
-    JointSubset,
-    Modality,
-    build_feature_matrix,
-)
+from .features import FeatureMatrix, JointSubset, Modality, build_feature_matrix
 from .pca import PcaModel, pca_fit, pca_transform
 from .skeleton import N_CLASSES, STATIONARY_LABELS, validate_sequence
 
@@ -44,6 +39,11 @@ from .skeleton import N_CLASSES, STATIONARY_LABELS, validate_sequence
 class StratifyBy(enum.Enum):
     CLASS_LABEL = "class"
     PARTICIPANT = "participant"
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise HyperparameterError("seed", "in [0, 2**64)", seed)
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,16 @@ class SplitPlan:
     stratify_by: StratifyBy = StratifyBy.CLASS_LABEL
     seed: int = 0
 
+    SHARES = ("train_frac", "test_frac", "validation_frac")
+
     def __post_init__(self):
-        total = self.train_frac + self.test_frac + self.validation_frac
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"split fractions must sum to 1.0, got {total}")
-        if min(self.train_frac, self.test_frac, self.validation_frac) <= 0:
-            raise ValueError("split fractions must be positive")
+        shares = tuple(getattr(self, name) for name in self.SHARES)
+        for name, value in zip(self.SHARES, shares):
+            if not value > 0:  # NaN fails too
+                raise HyperparameterError(name, "> 0", value)
+        if abs(sum(shares) - 1.0) > 1e-9:
+            raise HyperparameterError("split", "shares that sum to 1.0", shares)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,6 @@ def split(matrix: FeatureMatrix, plan: SplitPlan) -> SplitIndices:
     remainder goes to train, so per-stratum sizes sit within one row of the
     exact fractions. Deterministic in plan.seed.
     """
-    if matrix.labels is None:
-        raise ValueError("split requires a labeled feature matrix")
     if plan.stratify_by is StratifyBy.CLASS_LABEL:
         strata_key = matrix.labels
     else:
@@ -230,8 +232,6 @@ def cross_validate(spec: ClassifierSpec, matrix: FeatureMatrix, folds: int = 5,
     fold_assignment overrides the assignment (testing hook); it must map
     every row to a fold in 0..folds-1.
     """
-    if matrix.labels is None:
-        raise ValueError("cross-validation requires a labeled feature matrix")
     if fold_assignment is None:
         fold_assignment = assign_folds(matrix.labels, folds, seed)
     else:
@@ -283,13 +283,20 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.dims not in (2, 3):
-            raise ValueError("dims must be 2 or 3")
+            raise HyperparameterError("dims", "2 or 3", self.dims)
         if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+            raise HyperparameterError("folds", ">= 2", self.folds)
+        _check_seed(self.seed)
         if self.classifier is None:
             raise ValueError("a classifier spec is required")
         if self.frame_positions is not None:
             object.__setattr__(self, "frame_positions", tuple(self.frame_positions))
+
+    def feature_matrix(self, manifest: DatasetManifest) -> FeatureMatrix:
+        """The labeled feature matrix of a dataset under this config's
+        modality, joint subset, dims and frame positions."""
+        return build_feature_matrix(manifest, self.modality, self.subset, self.dims,
+                                    self.frame_positions)
 
     def with_seed(self, seed: int) -> "PipelineConfig":
         """Rewire every seed in the config to one run seed."""
@@ -309,18 +316,9 @@ class PipelineConfig:
                 "joints": [j.name for j in self.subset.joints],
             },
             "dims": self.dims,
-            "pca": {
-                "enabled": self.pca.enabled,
-                "variance_threshold": self.pca.variance_threshold,
-            },
+            "pca": asdict(self.pca),
             "classifier": classifier,
-            "split": {
-                "train_frac": self.split.train_frac,
-                "test_frac": self.split.test_frac,
-                "validation_frac": self.split.validation_frac,
-                "stratify_by": self.split.stratify_by.value,
-                "seed": self.split.seed,
-            },
+            "split": {**asdict(self.split), "stratify_by": self.split.stratify_by.value},
             "folds": self.folds,
             "seed": self.seed,
             "frame_positions": (
@@ -382,10 +380,7 @@ def run_experiment(config: PipelineConfig, manifest: DatasetManifest,
                 f"invalid sequence (participant={seq.participant_id}, "
                 f"activity={seq.activity.label}): {v.message}"
             )
-    matrix = build_feature_matrix(manifest, config.modality, config.subset,
-                                  config.dims, labeled=True,
-                                  frame_positions=config.frame_positions)
-    return run_matrix_experiment(config, matrix, out_dir)
+    return run_matrix_experiment(config, config.feature_matrix(manifest), out_dir)
 
 
 _SCALARS = frozenset((float, int, str, bool, type(None)))

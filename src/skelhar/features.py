@@ -15,7 +15,8 @@ The pipeline per (participant, activity) sequence:
    depth component, and flatten to one row per frame.
 
 Stacking the rows of every sequence, ordered by (participant, activity,
-frame), yields the input matrix; training adds the aligned label column.
+frame), yields the input matrix, with its aligned label and participant
+columns.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ C18_JOINTS = C9_JOINTS + (
 )
 
 C28_JOINTS = tuple(JointId)
+
+# The named subsets, by the name that parse_subset, the CLI and config files use.
+SUBSETS = {"c9": C9_JOINTS, "c18": C18_JOINTS, "c28": C28_JOINTS}
 
 
 class Modality(enum.Enum):
@@ -102,10 +106,8 @@ class JointSubset:
         return cls("custom", joints)
 
     def __post_init__(self):
-        if self.name in ("c9", "c18", "c28"):
-            expected = {"c9": C9_JOINTS, "c18": C18_JOINTS, "c28": C28_JOINTS}[self.name]
-            if self.joints != expected:
-                raise ValueError(f"subset {self.name} has a fixed member list")
+        if self.name in SUBSETS and self.joints != SUBSETS[self.name]:
+            raise ValueError(f"subset {self.name} has a fixed member list")
 
     @property
     def feature_joints(self) -> tuple[JointId, ...]:
@@ -118,13 +120,9 @@ class JointSubset:
 
 
 def parse_subset(text: str) -> JointSubset:
-    """Parse a subset name: c9, c18, c28, or list:<JointName>,<JointName>,..."""
-    if text == "c9":
-        return JointSubset.c9()
-    if text == "c18":
-        return JointSubset.c18()
-    if text == "c28":
-        return JointSubset.c28()
+    """Parse a subset name: one of SUBSETS, or list:<JointName>,<JointName>,..."""
+    if text in SUBSETS:
+        return JointSubset(text, SUBSETS[text])
     if text.startswith("list:"):
         names = [n for n in text[len("list:"):].split(",") if n]
         try:
@@ -132,7 +130,8 @@ def parse_subset(text: str) -> JointSubset:
         except KeyError as exc:
             raise ValueError(f"unknown joint name {exc.args[0]!r}") from None
         return JointSubset.custom(joints)
-    raise ValueError(f"unknown joint subset {text!r}; expected one of c9, c18, c28, list:<names>")
+    raise ValueError(f"unknown joint subset {text!r}; expected one of "
+                     f"{', '.join(SUBSETS)}, list:<names>")
 
 
 @dataclass(frozen=True)
@@ -145,23 +144,22 @@ class Provenance:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Feature rows with optional aligned labels and participant ids."""
+    """Feature rows with aligned labels in 1..9 and optional participant ids."""
 
     rows: np.ndarray
-    labels: np.ndarray | None
+    labels: np.ndarray
     participants: np.ndarray | None
     provenance: Provenance
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
         object.__setattr__(self, "rows", rows)
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if len(labels) != len(rows):
-                raise ValueError("labels length must match row count")
-            if len(labels) and (labels.min() < 1 or labels.max() > 9):
-                raise ValueError("labels must lie in 1..9")
-            object.__setattr__(self, "labels", labels)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if len(labels) != len(rows):
+            raise ValueError("labels length must match row count")
+        if len(labels) and (labels.min() < 1 or labels.max() > 9):
+            raise ValueError("labels must lie in 1..9")
+        object.__setattr__(self, "labels", labels)
         if self.participants is not None:
             parts = np.asarray(self.participants, dtype=np.int64)
             if len(parts) != len(rows):
@@ -181,7 +179,7 @@ class FeatureMatrix:
         indices = np.asarray(indices)
         return FeatureMatrix(
             self.rows[indices],
-            None if self.labels is None else self.labels[indices],
+            self.labels[indices],
             None if self.participants is None else self.participants[indices],
             self.provenance,
         )
@@ -281,16 +279,15 @@ def normalize_posture(joint_vectors: np.ndarray, subset: JointSubset, dims: int,
 
 def build_feature_matrix(manifest: DatasetManifest, modality: Modality,
                          subset: JointSubset, dims: int,
-                         labeled: bool = True,
                          frame_positions: tuple[int, ...] | None = None
                          ) -> FeatureMatrix:
-    """Extract the full feature matrix for a dataset.
+    """Extract the full feature matrix for a dataset, with the activity label
+    and participant id of every row.
 
     Rows are ordered by (participant, activity, frame); each sequence
-    contributes exactly the modality's frame budget. Labels are attached
-    only when requested; feature values do not depend on the flag.
-    frame_positions replaces the centered source window with an explicit
-    per-sequence frame list.
+    contributes exactly the modality's frame budget. frame_positions
+    replaces the centered source window with an explicit per-sequence frame
+    list. PipelineConfig.feature_matrix calls this with a config's fields.
     """
     sequences = sorted(manifest.sequences,
                        key=lambda s: (s.participant_id, s.activity.label))
@@ -309,7 +306,7 @@ def build_feature_matrix(manifest: DatasetManifest, modality: Modality,
     provenance = Provenance(modality, subset.name, dims, manifest.manifest_id)
     return FeatureMatrix(
         rows,
-        np.array(labels, dtype=np.int64) if labeled else None,
+        np.array(labels, dtype=np.int64),
         np.array(participants, dtype=np.int64),
         provenance,
     )

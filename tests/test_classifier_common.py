@@ -15,7 +15,7 @@ from skelhar import (
     MlpSpec,
     train_arrays,
 )
-from skelhar.classifiers import model_from_json_dict
+from skelhar.classifiers import FAMILIES, model_from_json_dict
 
 ALL_SPECS = [
     FineTreeSpec(seed=3),
@@ -76,6 +76,21 @@ def test_non_finite_features_are_rejected():
     for spec in ALL_SPECS:
         with pytest.raises(ValueError, match="non-finite"):
             train_arrays(spec, x, y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_rows_are_rejected(bad):
+    x, y, queries = _three_blobs(seed=9)
+    queries = queries[:6].copy()
+    queries[4, 0] = bad
+    queries[5, 1] = np.nan
+    for family in FAMILIES:
+        model = train_arrays(family.spec(seed=3), x, y)
+        for score in (model.predict, model.decision_scores, model.predict_with_scores):
+            with pytest.raises(ValueError, match="query row 4 contains non-finite"):
+                score(queries)
+        with pytest.raises(ValueError, match="query row 0 contains non-finite"):
+            model.predict(queries[4])  # a single row is row 0
 
 
 def test_training_determinism_across_runs():

@@ -72,7 +72,7 @@ class TestSynth:
                                       str(tmp_path / "x.csv")])
         assert result.exit_code == 1
 
-    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    @pytest.mark.parametrize("noise", ["nan", "inf", "1e308"])
     def test_non_finite_noise_is_runtime_error(self, runner, tmp_path, noise):
         out = tmp_path / "x.csv"
         result = runner.invoke(main, ["synth", "--participants", "1", "--noise", noise,
@@ -190,6 +190,12 @@ class TestEvaluate:
         ("--pca-var", ["--pca", "off", "--pca-var", "nan"]),
         ("--pca-var", ["--pca", "on", "--pca-var", "nan"]),
         ("--knn-k", ["--classifier", "knn", "--knn-k", "0"]),
+        ("--dims", ["--dims", "4"]),
+        ("--folds", ["--folds", "1"]),
+        ("--seed", ["--seed", "-1"]),
+        ("--seed", ["--seed", str(2**64)]),
+        ("--split", ["--split", "50,50,0"]),
+        ("--split", ["--split", "0.5,nan,0.5"]),
     ])
     def test_bad_hyperparameter_is_usage_error_naming_the_flag(self, runner, tmp_path,
                                                               flag, args):
@@ -375,6 +381,10 @@ class TestConfigFile:
         for config in configs:
             assert build_config(config_to_flat(config)) == config
 
+    def test_flag_defaults_are_the_dataclass_defaults(self):
+        # the CLI restates no default: parsing the defaults gives a default-built config
+        assert build_config(dict(_PIPELINE_DEFAULTS)) == PipelineConfig(classifier=FineKnnSpec())
+
     def test_help_lists_flags(self, runner):
         result = runner.invoke(main, ["evaluate", "--help"])
         assert result.exit_code == 0
@@ -385,6 +395,11 @@ class TestConfigFile:
         for flag, default in (("--knn-k", "1"), ("--tree-max-splits", "100"),
                               ("--bagged-trees", "30"), ("--svm-c", "1.0"),
                               ("--svm-tol", "0.001"), ("--hidden", "175"),
-                              ("--epochs", "200"), ("--lr", "0.01")):
+                              ("--epochs", "200"), ("--lr", "0.01"),
+                              ("--modality", "coordinates"), ("--joints", "c28"),
+                              ("--dims", "3"), ("--pca", "off"), ("--pca-var", "0.95"),
+                              ("--classifier", "knn"), ("--split", "60,20,20"),
+                              ("--folds", "5"), ("--stratify", "class"), ("--seed", "0"),
+                              ("--frame-list", "unset")):
             pattern = rf"{flag} TEXT [^\[]*\[default: {re.escape(default)}\]"
             assert re.search(pattern, text), flag

@@ -21,6 +21,7 @@ from skelhar import (
     run_matrix_experiment,
     split,
 )
+from skelhar.classifiers import HyperparameterError
 from skelhar.evaluation import assign_folds
 from skelhar.features import Provenance
 
@@ -323,6 +324,42 @@ class TestRunExperiment:
             PipelineConfig(classifier=None)
         with pytest.raises(ValueError, match="dims"):
             PipelineConfig(dims=4, classifier=FineKnnSpec())
+
+    @pytest.mark.parametrize("field, build", [
+        ("dims", lambda: PipelineConfig(dims=4, classifier=FineKnnSpec())),
+        ("folds", lambda: PipelineConfig(folds=1, classifier=FineKnnSpec())),
+        ("seed", lambda: PipelineConfig(seed=-1, classifier=FineKnnSpec())),
+        ("seed", lambda: PipelineConfig(seed=2**64, classifier=FineKnnSpec())),
+        ("seed", lambda: _knn_config().with_seed(-1)),
+        ("seed", lambda: SplitPlan(seed=-1)),
+        ("train_frac", lambda: SplitPlan(math.nan, 0.5, 0.5)),
+        ("validation_frac", lambda: SplitPlan(0.5, 0.5, 0.0)),
+        ("test_frac", lambda: SplitPlan(0.7, -0.1, 0.4)),
+        ("split", lambda: SplitPlan(0.5, 0.3, 0.3)),
+        ("variance_threshold", lambda: PcaConfig(True, 0.0)),
+    ])
+    def test_bounds_raise_hyperparameter_error_naming_the_field(self, field, build):
+        with pytest.raises(HyperparameterError) as info:
+            build()
+        assert info.value.field == field
+        assert str(info.value).startswith(f"{field} must be ")
+
+    def test_seed_bounds_are_inclusive_of_the_u64_range(self):
+        for seed in (0, 2**64 - 1):
+            assert _knn_config().with_seed(seed).split.seed == seed
+
+    def test_feature_matrix_is_the_configured_extraction(self, small_manifest):
+        from dataclasses import replace
+
+        config = replace(_knn_config(), modality=Modality.VELOCITY, dims=2,
+                         frame_positions=tuple(range(2, 53)))
+        matrix = config.feature_matrix(small_manifest)
+        expected = build_feature_matrix(small_manifest, Modality.VELOCITY,
+                                        JointSubset.c9(), 2, tuple(range(2, 53)))
+        assert np.array_equal(matrix.rows, expected.rows)
+        assert np.array_equal(matrix.labels, expected.labels)
+        assert np.array_equal(matrix.participants, expected.participants)
+        assert matrix.provenance == expected.provenance
 
     def test_with_seed_rewires_all_seeds(self):
         config = _knn_config(seed=1).with_seed(99)

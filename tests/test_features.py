@@ -217,14 +217,6 @@ class TestBuildFeatureMatrix:
             assert np.all(matrix.labels[block] == a + 1)
             assert np.all(matrix.participants[block] == 1)
 
-    def test_unlabeled_rows_are_identical(self, small_manifest):
-        labeled = build_feature_matrix(small_manifest, Modality.COORDINATES,
-                                       JointSubset.c9(), 3, labeled=True)
-        unlabeled = build_feature_matrix(small_manifest, Modality.COORDINATES,
-                                         JointSubset.c9(), 3, labeled=False)
-        assert unlabeled.labels is None
-        assert np.array_equal(labeled.rows, unlabeled.rows)
-
     def test_deterministic(self, small_manifest):
         a = build_feature_matrix(small_manifest, Modality.VELOCITY, JointSubset.c18(), 2)
         b = build_feature_matrix(small_manifest, Modality.VELOCITY, JointSubset.c18(), 2)
