@@ -27,10 +27,14 @@ class HyperparameterError(ValueError):
         self.field = field
 
 
-def _check_counts(spec, *fields: str) -> None:
-    for name in fields:
-        if getattr(spec, name) < 1:
-            raise HyperparameterError(name, ">= 1", getattr(spec, name))
+def check_integers(obj, *counts: str, minimum: int = 1) -> None:
+    """The named count fields must be ints >= minimum, and obj.seed an int in
+    [0, 2**64); a bool is not an int here."""
+    rules = [(name, minimum, math.inf, f"an integer >= {minimum}") for name in counts]
+    for name, low, end, rule in [*rules, ("seed", 0, 2**64, "an integer in [0, 2**64)")]:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool) or not low <= value < end:
+            raise HyperparameterError(name, rule, value)
 
 
 def _check_positive(spec, *fields: str) -> None:
@@ -47,7 +51,7 @@ class FineTreeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_counts(self, "max_splits")
+        check_integers(self, "max_splits")
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class BaggedTreesSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_counts(self, "n_trees", "max_splits")
+        check_integers(self, "n_trees", "max_splits")
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ class FineKnnSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_counts(self, "k")
+        check_integers(self, "k")
 
 
 @dataclass(frozen=True)
@@ -77,11 +81,15 @@ class CubicSvmSpec:
 
     def __post_init__(self):
         _check_positive(self, "c", "tolerance")
+        check_integers(self)
 
 
 @dataclass(frozen=True)
 class LinearDiscriminantSpec:
     seed: int = 0
+
+    def __post_init__(self):
+        check_integers(self)
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ class MlpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_counts(self, "hidden_width", "epochs")
+        check_integers(self, "hidden_width", "epochs")
         _check_positive(self, "learning_rate")
 
 

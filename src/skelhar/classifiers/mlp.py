@@ -4,6 +4,21 @@ Trained by mini-batch gradient descent (batch 32) on a flat weight vector
 [W1 | b1 | W2 | b2]. The output column for each class is initialized from a
 substream keyed by the class *label* rather than its column position, so
 relabeling classes by a permutation permutes the trained network exactly.
+
+A training step is bound by numpy call overhead, not by flops, so it
+allocates nothing. The weight and gradient vectors are allocated once and
+their W1|b1|W2|b2 blocks are views (`_unpack`); `_backprop` writes every
+intermediate into buffers sized for one batch (sliced for the last, shorter
+one) and every gradient block straight into its view, with `out=`. Each
+epoch gathers its shuffled rows and a one-hot label block once, so a batch
+is a fixed slice, and the update is `g *= lr; w -= g`.
+
+The weights are bit-identical to a step that allocates each intermediate and
+concatenates the gradient (the oracle in the tests): every value comes from
+the same operation on operands of the same shape and memory layout, so
+numpy's summation order and the BLAS call are unchanged. Subtracting the
+one-hot block is p - 1.0 on the true column and p - 0.0 = p elsewhere, and
+`lr * g` equals `g * lr`. `mlp_loss_and_gradient` runs the same kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +46,59 @@ def _unpack(weights: np.ndarray, n_in: int, hidden: int, n_out: int):
     return w1, b1, w2, b2
 
 
+def _step_buffers(rows: int, hidden: int, n_out: int) -> tuple[np.ndarray, ...]:
+    """Scratch arrays for a batch of up to `rows` rows; a shorter batch uses
+    their first rows."""
+    return (np.empty((rows, hidden)),              # pre-activation, then backprop
+            np.empty((rows, hidden), dtype=bool),  # ReLU active
+            np.empty((rows, hidden)),              # hidden activation
+            np.empty((rows, n_out)),               # logits, then minus the row max
+            np.empty((rows, 1)),                   # row max
+            np.empty((rows, n_out)),               # exp, softmax, then output delta
+            np.empty((rows, 1)))                   # log softmax normaliser
+
+
+def _backprop(params: tuple[np.ndarray, ...], grads: tuple[np.ndarray, ...],
+              batch_x: np.ndarray, target: np.ndarray,
+              buffers: tuple[np.ndarray, ...]) -> None:
+    """Write the batch-mean cross-entropy gradient into the (W1, b1, W2, b2)
+    views `grads`, allocating nothing.
+
+    target is the batch's one-hot label block; `buffers` come from
+    _step_buffers, cut to the batch. On return the shifted logits and log
+    normaliser are still in their buffers, so the loss can be read off.
+    """
+    w1, b1, w2, b2 = params
+    grad_w1, grad_b1, grad_w2, grad_b2 = grads
+    z1, active, a1, shifted, row_max, delta, log_norm = buffers
+
+    np.matmul(batch_x, w1, out=z1)
+    z1 += b1
+    np.greater(z1, 0.0, out=active)
+    np.maximum(z1, 0.0, out=a1)
+    np.matmul(a1, w2, out=shifted)
+    shifted += b2
+    np.maximum.reduce(shifted, axis=1, keepdims=True, out=row_max)
+    shifted -= row_max
+    np.exp(shifted, out=delta)
+    np.add.reduce(delta, axis=1, keepdims=True, out=log_norm)
+    np.log(log_norm, out=log_norm)
+    np.subtract(shifted, log_norm, out=delta)
+    np.exp(delta, out=delta)
+    # subtracting the one-hot block is p - 1.0 on the true column and p - 0.0
+    # (= p) elsewhere, the same values as decrementing the true column alone
+    delta -= target
+    delta /= batch_x.shape[0]
+
+    np.matmul(a1.T, delta, out=grad_w2)
+    np.add.reduce(delta, axis=0, out=grad_b2)
+    back = z1  # the pre-activation is spent once `active` holds its sign
+    np.matmul(delta, w2.T, out=back)
+    back *= active
+    np.matmul(batch_x.T, back, out=grad_w1)
+    np.add.reduce(back, axis=0, out=grad_b1)
+
+
 def mlp_loss_and_gradient(weights: np.ndarray, batch_x: np.ndarray,
                           batch_y: np.ndarray, hidden: int, n_out: int
                           ) -> tuple[float, np.ndarray]:
@@ -41,29 +109,16 @@ def mlp_loss_and_gradient(weights: np.ndarray, batch_x: np.ndarray,
     """
     batch_x = np.asarray(batch_x, dtype=np.float64)
     batch_y = np.asarray(batch_y, dtype=np.int64)
-    n = batch_x.shape[0]
-    w1, b1, w2, b2 = _unpack(np.asarray(weights, dtype=np.float64),
-                             batch_x.shape[1], hidden, n_out)
-
-    z1 = batch_x @ w1 + b1
-    a1 = np.maximum(z1, 0.0)
-    logits = a1 @ w2 + b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_norm - shifted[np.arange(n), batch_y]))
-
-    probs = np.exp(shifted - log_norm[:, None])
-    delta = probs
-    delta[np.arange(n), batch_y] -= 1.0
-    delta /= n
-
-    grad_w2 = a1.T @ delta
-    grad_b2 = delta.sum(axis=0)
-    back = (delta @ w2.T) * (z1 > 0)
-    grad_w1 = batch_x.T @ back
-    grad_b1 = back.sum(axis=0)
-
-    grad = np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
+    n, n_in = batch_x.shape
+    weights = np.asarray(weights, dtype=np.float64)
+    params = _unpack(weights, n_in, hidden, n_out)
+    grad = np.empty_like(weights)
+    target = np.zeros((n, n_out))
+    target[np.arange(n), batch_y] = 1.0
+    buffers = _step_buffers(n, hidden, n_out)
+    _backprop(params, _unpack(grad, n_in, hidden, n_out), batch_x, target, buffers)
+    _, _, _, shifted, _, _, log_norm = buffers
+    loss = float(np.mean(log_norm[:, 0] - shifted[np.arange(n), batch_y]))
     return loss, grad
 
 
@@ -129,17 +184,29 @@ class MlpModel(TrainedModel):
 def train_mlp(spec: MlpSpec, x: np.ndarray, y: np.ndarray) -> MlpModel:
     x, y = validate_training_data(x, y)
     class_set = np.unique(y)
-    y_idx = np.searchsorted(class_set, y)
-    n = x.shape[0]
+    n, n_in = x.shape
+    hidden, n_out = spec.hidden_width, len(class_set)
+    onehot = (np.searchsorted(class_set, y)[:, None] == np.arange(n_out)).astype(np.float64)
 
-    weights = initial_weights(spec, x.shape[1], class_set)
+    weights = initial_weights(spec, n_in, class_set)
+    grad = np.empty_like(weights)
+    params = _unpack(weights, n_in, hidden, n_out)
+    grads = _unpack(grad, n_in, hidden, n_out)
+    # each epoch's shuffled rows and labels are gathered into these, so a
+    # step's batch is a fixed view; only the last batch may be shorter
+    shuffled_x, shuffled_target = np.empty((n, n_in)), np.empty((n, n_out))
+    full = _step_buffers(min(n, BATCH_SIZE), hidden, n_out)
+    steps = [(shuffled_x[start:start + BATCH_SIZE],
+              shuffled_target[start:start + BATCH_SIZE],
+              tuple(b[:min(BATCH_SIZE, n - start)] for b in full))
+             for start in range(0, n, BATCH_SIZE)]
     shuffle_rng = np.random.default_rng([spec.seed, 0])
     for _ in range(spec.epochs):
         order = shuffle_rng.permutation(n)
-        for start in range(0, n, BATCH_SIZE):
-            rows = order[start:start + BATCH_SIZE]
-            _, grad = mlp_loss_and_gradient(
-                weights, x[rows], y_idx[rows], spec.hidden_width, len(class_set)
-            )
-            weights = weights - spec.learning_rate * grad
-    return MlpModel(spec, weights, x.shape[1], class_set)
+        np.take(x, order, axis=0, out=shuffled_x)
+        np.take(onehot, order, axis=0, out=shuffled_target)
+        for batch_x, target, buffers in steps:
+            _backprop(params, grads, batch_x, target, buffers)
+            grad *= spec.learning_rate
+            weights -= grad
+    return MlpModel(spec, weights, n_in, class_set)

@@ -139,19 +139,21 @@ def _grow_tree(x: np.ndarray, label_idx: np.ndarray, class_set: np.ndarray,
         _, _, node, order, (_, feature, threshold, cut) = heapq.heappop(heap)
         node.feature = feature
         node.threshold = threshold
+        left, left_counts = _make(order[feature, :cut + 1])
+        right, right_counts = _make(order[feature, cut + 1:])
+        node.left, node.right = left, right
+        splits += 1
+        if splits == max_splits:
+            break  # the budget is spent, so the children stay leaves and go unscored
         goes_left = np.zeros(n_total, dtype=bool)
         goes_left[order[feature, :cut + 1]] = True
         mask = goes_left[order]
         n_features, n = order.shape
-        left, left_counts = _make(order[feature, :cut + 1])
-        right, right_counts = _make(order[feature, cut + 1:])
-        node.left, node.right = left, right
         left_order = order[mask].reshape(n_features, cut + 1)
         right_order = order[~mask].reshape(n_features, n - cut - 1)
         del order, mask  # only the children's orders stay alive while they are scored
         _enqueue(left, left_order, left_counts)
         _enqueue(right, right_order, right_counts)
-        splits += 1
     return root
 
 

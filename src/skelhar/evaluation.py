@@ -30,6 +30,7 @@ from .classifiers import (
     family_of,
     train_arrays,
 )
+from .classifiers.base import check_integers
 from .dataset import DatasetManifest, format_sig9, write_lines
 from .features import FeatureMatrix, JointSubset, Modality, build_feature_matrix
 from .pca import PcaModel, pca_fit, pca_transform
@@ -39,11 +40,6 @@ from .skeleton import N_CLASSES, STATIONARY_LABELS, validate_sequence
 class StratifyBy(enum.Enum):
     CLASS_LABEL = "class"
     PARTICIPANT = "participant"
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise HyperparameterError("seed", "in [0, 2**64)", seed)
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ class SplitPlan:
                 raise HyperparameterError(name, "> 0", value)
         if abs(sum(shares) - 1.0) > 1e-9:
             raise HyperparameterError("split", "shares that sum to 1.0", shares)
-        _check_seed(self.seed)
+        check_integers(self)
 
 
 @dataclass(frozen=True)
@@ -282,11 +278,9 @@ class PipelineConfig:
     frame_positions: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.dims not in (2, 3):
+        if not isinstance(self.dims, int) or self.dims not in (2, 3):
             raise HyperparameterError("dims", "2 or 3", self.dims)
-        if self.folds < 2:
-            raise HyperparameterError("folds", ">= 2", self.folds)
-        _check_seed(self.seed)
+        check_integers(self, "folds", minimum=2)
         if self.classifier is None:
             raise ValueError("a classifier spec is required")
         if self.frame_positions is not None:

@@ -10,6 +10,8 @@ import math
 import numpy as np
 
 from skelhar import JointId, Modality, Violation
+from skelhar.classifiers.base import validate_training_data
+from skelhar.classifiers.mlp import BATCH_SIZE, _unpack, initial_weights
 from skelhar.classifiers.tree import _Node
 from skelhar.skeleton import MIN_SOURCE_FRAMES, N_JOINTS
 
@@ -226,6 +228,62 @@ def per_feature_grow_tree(x, label_idx, class_set, max_splits):
         _enqueue(right, right_rows, right_counts)
         splits += 1
     return root
+
+
+# ---------------------------------------------------------------------------
+# MLP training, one freshly allocated gradient per step
+# ---------------------------------------------------------------------------
+
+def per_step_loss_and_gradient(weights, batch_x, batch_y, hidden, n_out):
+    """Mean cross-entropy over the batch and its gradient in the flat layout,
+    every intermediate a new array and the gradient a concatenation."""
+    batch_x = np.asarray(batch_x, dtype=np.float64)
+    batch_y = np.asarray(batch_y, dtype=np.int64)
+    n = batch_x.shape[0]
+    w1, b1, w2, b2 = _unpack(np.asarray(weights, dtype=np.float64),
+                             batch_x.shape[1], hidden, n_out)
+
+    z1 = batch_x @ w1 + b1
+    a1 = np.maximum(z1, 0.0)
+    logits = a1 @ w2 + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    loss = float(np.mean(log_norm - shifted[np.arange(n), batch_y]))
+
+    probs = np.exp(shifted - log_norm[:, None])
+    delta = probs
+    delta[np.arange(n), batch_y] -= 1.0
+    delta /= n
+
+    grad_w2 = a1.T @ delta
+    grad_b2 = delta.sum(axis=0)
+    back = (delta @ w2.T) * (z1 > 0)
+    grad_w1 = batch_x.T @ back
+    grad_b1 = back.sum(axis=0)
+
+    grad = np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
+    return loss, grad
+
+
+def per_step_train_weights(spec, x, y):
+    """Trained MLP weight vector: fancy-indexed batches and a new weight
+    vector per step."""
+    x, y = validate_training_data(x, y)
+    class_set = np.unique(y)
+    y_idx = np.searchsorted(class_set, y)
+    n = x.shape[0]
+
+    weights = initial_weights(spec, x.shape[1], class_set)
+    shuffle_rng = np.random.default_rng([spec.seed, 0])
+    for _ in range(spec.epochs):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, BATCH_SIZE):
+            rows = order[start:start + BATCH_SIZE]
+            _, grad = per_step_loss_and_gradient(
+                weights, x[rows], y_idx[rows], spec.hidden_width, len(class_set)
+            )
+            weights = weights - spec.learning_rate * grad
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from skelhar import (
     MlpSpec,
     train_arrays,
 )
-from skelhar.classifiers import FAMILIES, model_from_json_dict
+from skelhar.classifiers import FAMILIES, HyperparameterError, model_from_json_dict
 
 ALL_SPECS = [
     FineTreeSpec(seed=3),
@@ -135,3 +135,28 @@ def test_model_json_round_trip():
         assert np.array_equal(loaded.predict(queries), model.predict(queries))
         assert np.array_equal(loaded.decision_scores(queries),
                               model.decision_scores(queries)), type(spec).__name__
+
+
+@pytest.mark.parametrize("field, build", [
+    ("seed", lambda: MlpSpec(seed=-1)),
+    ("seed", lambda: BaggedTreesSpec(seed=-1)),
+    ("epochs", lambda: MlpSpec(epochs=1.5)),
+    ("hidden_width", lambda: MlpSpec(hidden_width=2.5)),
+    ("k", lambda: FineKnnSpec(k=1.5)),
+    ("seed", lambda: MlpSpec(seed=1.5)),
+    ("n_trees", lambda: BaggedTreesSpec(n_trees=True)),
+    ("seed", lambda: FineTreeSpec(seed=2**64)),
+    ("seed", lambda: CubicSvmSpec(seed=None)),
+    ("seed", lambda: LinearDiscriminantSpec(seed=False)),
+])
+def test_spec_integers_are_checked_where_the_spec_is_built(field, build):
+    with pytest.raises(HyperparameterError) as info:
+        build()
+    assert info.value.field == field
+    assert str(info.value).startswith(f"{field} must be an integer")
+
+
+def test_every_spec_accepts_the_u64_seed_range():
+    for spec in ALL_SPECS:
+        for seed in (0, 2**64 - 1):
+            assert dataclasses.replace(spec, seed=seed).seed == seed

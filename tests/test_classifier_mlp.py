@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from skelhar import MlpSpec, mlp_loss_and_gradient, train_arrays
-from skelhar.classifiers import MlpModel, initial_weights
-from oracles import central_difference
+from skelhar.classifiers import MlpModel, initial_weights, train_mlp
+from oracles import central_difference, per_step_train_weights
 
 
 def _weight_count(n_in, hidden, n_out):
@@ -84,3 +84,26 @@ def test_serialization_round_trip():
     again = MlpModel.from_json_dict(model.to_json_dict())
     queries = rng.normal(size=(10, 3))
     assert np.array_equal(model.predict(queries), again.predict(queries))
+
+
+@pytest.mark.parametrize("n, n_in, labels, hidden, order", [
+    (20, 6, (1, 2), 7, "C"),                    # n below one batch
+    (64, 84, tuple(range(1, 10)), 175, "C"),    # n a multiple of the batch
+    (77, 84, tuple(range(1, 10)), 40, "C"),     # a short last batch
+    (33, 12, (2, 5, 9), 16, "C"),               # a last batch of one row
+    (90, 4, (3, 8, 11, 40), 25, "C"),           # narrow, PCA-like, non-contiguous labels
+    (50, 30, (1, 9), 175, "C"),                 # 2 classes at the default width
+    # column-major features: gathering batches into a column-major buffer
+    # would change the BLAS call, which can change the low bits of the weights
+    (97, 30, tuple(range(1, 10)), 64, "F"),
+])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_in_place_training_is_bitwise_the_per_step_oracle(n, n_in, labels, hidden, order,
+                                                          seed):
+    rng = np.random.default_rng([n, seed])
+    x = rng.normal(size=(n, n_in)) * rng.uniform(0.1, 10.0, size=n_in)
+    x = np.asarray(x, order=order)
+    y = np.array(labels)[rng.integers(0, len(labels), size=n)]
+    y[:len(labels)] = labels
+    spec = MlpSpec(hidden_width=hidden, epochs=6, learning_rate=0.05, seed=seed)
+    assert np.array_equal(train_mlp(spec, x, y).weights, per_step_train_weights(spec, x, y))

@@ -2,12 +2,17 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelhar import BaggedTreesSpec, FineTreeSpec, train_arrays
 from skelhar.classifiers import FineTreeModel, tree
 from skelhar.classifiers.tree import train_bagged_trees, train_fine_tree
 from oracles import per_feature_grow_tree
+
+
+def _internal_nodes(node):
+    return 0 if node.is_leaf else 1 + _internal_nodes(node.left) + _internal_nodes(node.right)
 
 
 def _tree_depth(node):
@@ -190,6 +195,37 @@ class TestPresortedSplitSearch:
         with mock.patch.object(tree, "_BLOCK_CELLS", block_cells):
             model = train_fine_tree(spec, x, y)
         assert model.to_json_dict() == _oracle_json(spec, x, y)
+
+    @pytest.mark.parametrize("max_splits", [1, 3, 10, 100])
+    def test_a_spent_budget_leaves_the_last_children_unscored(self, max_splits):
+        rng = np.random.default_rng(max_splits)
+        n = 120
+        x = np.column_stack([_column(rng, kind, n)
+                             for kind in ("ties", "adjacent", "ties", "normal")])
+        y = rng.integers(1, 10, size=n)
+        y[:2] = [1, 9]
+        spec = FineTreeSpec(max_splits=max_splits)
+        with mock.patch.object(tree, "_best_split", wraps=tree._best_split) as scored:
+            model = train_fine_tree(spec, x, y)
+        assert model.to_json_dict() == _oracle_json(spec, x, y)
+        splits = _internal_nodes(model.root)
+        # the root, then two children per split, except the split that spends
+        # the budget
+        spent = splits == max_splits
+        assert scored.call_count == 1 + 2 * splits - (2 if spent else 0)
+
+    @pytest.mark.parametrize("max_splits", [1, 3, 10, 100])
+    def test_bagged_members_equal_the_per_feature_oracle(self, max_splits):
+        rng = np.random.default_rng(100 + max_splits)
+        n = 90
+        x = np.column_stack([_column(rng, kind, n) for kind in ("ties", "adjacent", "ties")])
+        y = rng.integers(1, 6, size=n)
+        y[:2] = [1, 5]
+        spec = BaggedTreesSpec(n_trees=4, max_splits=max_splits, seed=3)
+        grown = train_bagged_trees(spec, x, y).to_json_dict()
+        with mock.patch.object(tree, "_grow_tree", per_feature_grow_tree):
+            oracle = train_bagged_trees(spec, x, y).to_json_dict()
+        assert grown == oracle
 
     def test_single_class_node_stays_a_leaf(self):
         x = np.random.default_rng(0).normal(size=(10, 3))

@@ -327,11 +327,15 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("field, build", [
         ("dims", lambda: PipelineConfig(dims=4, classifier=FineKnnSpec())),
+        ("dims", lambda: PipelineConfig(dims=2.0, classifier=FineKnnSpec())),
         ("folds", lambda: PipelineConfig(folds=1, classifier=FineKnnSpec())),
         ("seed", lambda: PipelineConfig(seed=-1, classifier=FineKnnSpec())),
         ("seed", lambda: PipelineConfig(seed=2**64, classifier=FineKnnSpec())),
         ("seed", lambda: _knn_config().with_seed(-1)),
         ("seed", lambda: SplitPlan(seed=-1)),
+        ("seed", lambda: PipelineConfig(seed=1.5, classifier=FineKnnSpec())),
+        ("seed", lambda: SplitPlan(seed=1.5)),
+        ("folds", lambda: PipelineConfig(folds=2.5, classifier=FineKnnSpec())),
         ("train_frac", lambda: SplitPlan(math.nan, 0.5, 0.5)),
         ("validation_frac", lambda: SplitPlan(0.5, 0.5, 0.0)),
         ("test_frac", lambda: SplitPlan(0.7, -0.1, 0.4)),
