@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
-from ..features import FeatureMatrix
 from .base import (
     BaggedTreesSpec,
     CubicSvmSpec,
@@ -23,6 +22,9 @@ from .lda import LinearDiscriminantModel, SingularCovarianceError, train_lda
 from .mlp import MlpModel, initial_weights, mlp_loss_and_gradient, train_mlp
 from .svm import BinarySvm, CubicSvmModel, cubic_kernel, train_cubic_svm
 from .tree import BaggedTreesModel, FineTreeModel, train_bagged_trees, train_fine_tree
+
+if TYPE_CHECKING:  # dataset.py imports .base, and features.py imports dataset.py
+    from ..features import FeatureMatrix
 
 __all__ = [
     "BaggedTreesModel",

@@ -9,13 +9,10 @@ numpy substreams.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+import typing
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from . import ClassifierSpec
 
 
 class HyperparameterError(ValueError):
@@ -104,7 +101,10 @@ class MlpSpec:
         _check_positive(self, "learning_rate")
 
 
-def validate_training_data(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def validate_training_data(x: np.ndarray, y: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, class_set): float64 rows, int64 labels and the sorted distinct
+    labels, of which there must be at least two."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2:
@@ -113,19 +113,34 @@ def validate_training_data(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
         raise ValueError("labels must align with feature rows")
     if not np.isfinite(x).all():
         raise ValueError("training features contain non-finite values")
-    if len(np.unique(y)) < 2:
+    class_set = np.unique(y)
+    if len(class_set) < 2:
         raise ValueError("training data must contain at least 2 distinct labels")
-    return x, y
+    return x, y, class_set
+
+
+def _from_json(value):
+    """A JSON list as an array (int64 from ints, float64 from floats); any
+    other value as it is."""
+    return np.asarray(value) if isinstance(value, list) else value
 
 
 class TrainedModel:
-    """Base for fitted classifiers: carries the spec and the label set."""
+    """Base for fitted classifiers.
+
+    Each family is a dataclass whose fields are `spec`, then its fitted
+    state, then `class_set` (cast to int64). `to_json_dict` writes `kind`,
+    the spec as a dict, and every other field under its own name: an array
+    as a nested list, any other value as it is. `from_json_dict` reverses
+    that, so model.json keys are the field names. A family whose state
+    nests maps that one field itself: the trees of the tree families and
+    the machines of the SVM.
+    """
 
     kind: str = ""
 
-    def __init__(self, spec: ClassifierSpec, class_set: np.ndarray):
-        self.spec = spec
-        self.class_set = np.asarray(class_set, dtype=np.int64)
+    def __post_init__(self):
+        self.class_set = np.asarray(self.class_set, dtype=np.int64)
 
     def _check_rows(self, rows: np.ndarray, n_features: int) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
@@ -159,6 +174,17 @@ class TrainedModel:
         return self.predict(rows), self.decision_scores(rows)
 
     def to_json_dict(self) -> dict:
-        """kind, spec and class set; each family adds its fitted state."""
-        return {"kind": self.kind, "spec": asdict(self.spec),
-                "class_set": self.class_set.tolist()}
+        d = {"kind": self.kind, "spec": asdict(self.spec)}
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            d[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return d
+
+    @classmethod
+    def from_json_dict(cls, d: dict, **decoded):
+        """The model that `to_json_dict` wrote as d; a field passed by
+        keyword is used as it is."""
+        spec = typing.get_type_hints(cls)["spec"](**d["spec"])
+        state = {f.name: decoded[f.name] if f.name in decoded else _from_json(d[f.name])
+                 for f in fields(cls)[1:]}
+        return cls(spec, **state)

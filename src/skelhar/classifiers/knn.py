@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import FineKnnSpec, TrainedModel, validate_training_data
@@ -9,6 +11,7 @@ from .base import FineKnnSpec, TrainedModel, validate_training_data
 _CHUNK = 512
 
 
+@dataclass(eq=False)
 class FineKnnModel(TrainedModel):
     """Stores the training set; prediction is an exact nearest-neighbor scan.
 
@@ -20,11 +23,10 @@ class FineKnnModel(TrainedModel):
 
     kind = "fine_knn"
 
-    def __init__(self, spec: FineKnnSpec, train_x: np.ndarray, train_y: np.ndarray,
-                 class_set: np.ndarray):
-        super().__init__(spec, class_set)
-        self.train_x = train_x
-        self.train_y = train_y
+    spec: FineKnnSpec
+    train_x: np.ndarray
+    train_y: np.ndarray
+    class_set: np.ndarray
 
     def _vote_counts(self, rows: np.ndarray) -> np.ndarray:
         """(n_rows, n_classes) count of each class among the k nearest."""
@@ -54,25 +56,9 @@ class FineKnnModel(TrainedModel):
         """Share of the k nearest neighbors per class."""
         return self._vote_counts(rows) / self.spec.k
 
-    def to_json_dict(self) -> dict:
-        return {
-            **super().to_json_dict(),
-            "train_x": self.train_x.tolist(),
-            "train_y": self.train_y.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FineKnnModel":
-        return cls(
-            FineKnnSpec(**d["spec"]),
-            np.asarray(d["train_x"], dtype=np.float64),
-            np.asarray(d["train_y"], dtype=np.int64),
-            np.asarray(d["class_set"], dtype=np.int64),
-        )
-
 
 def train_knn(spec: FineKnnSpec, x: np.ndarray, y: np.ndarray) -> FineKnnModel:
-    x, y = validate_training_data(x, y)
+    x, y, class_set = validate_training_data(x, y)
     if spec.k > x.shape[0]:
         raise ValueError(f"k={spec.k} exceeds the {x.shape[0]} training rows")
-    return FineKnnModel(spec, x, y, np.unique(y))
+    return FineKnnModel(spec, x, y, class_set)

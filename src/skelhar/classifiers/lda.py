@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import LinearDiscriminantSpec, TrainedModel, validate_training_data
@@ -11,6 +13,7 @@ class SingularCovarianceError(ValueError):
     pass
 
 
+@dataclass(eq=False)
 class LinearDiscriminantModel(TrainedModel):
     """Gaussian classes with shared covariance; argmax of the linear scores.
 
@@ -19,12 +22,11 @@ class LinearDiscriminantModel(TrainedModel):
 
     kind = "linear_discriminant"
 
-    def __init__(self, spec: LinearDiscriminantSpec, means: np.ndarray,
-                 weights: np.ndarray, intercepts: np.ndarray, class_set: np.ndarray):
-        super().__init__(spec, class_set)
-        self.means = means
-        self.weights = weights  # (n_classes, d): Sigma^-1 mu_c per row
-        self.intercepts = intercepts
+    spec: LinearDiscriminantSpec
+    means: np.ndarray
+    weights: np.ndarray  # (n_classes, d): Sigma^-1 mu_c per row
+    intercepts: np.ndarray
+    class_set: np.ndarray
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         # argmax picks the first maximum: score ties go to the smallest label
@@ -35,29 +37,10 @@ class LinearDiscriminantModel(TrainedModel):
         rows = self._check_rows(rows, self.means.shape[1])
         return rows @ self.weights.T + self.intercepts
 
-    def to_json_dict(self) -> dict:
-        return {
-            **super().to_json_dict(),
-            "means": self.means.tolist(),
-            "weights": self.weights.tolist(),
-            "intercepts": self.intercepts.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LinearDiscriminantModel":
-        return cls(
-            LinearDiscriminantSpec(**d["spec"]),
-            np.asarray(d["means"], dtype=np.float64),
-            np.asarray(d["weights"], dtype=np.float64),
-            np.asarray(d["intercepts"], dtype=np.float64),
-            np.asarray(d["class_set"], dtype=np.int64),
-        )
-
 
 def train_lda(spec: LinearDiscriminantSpec, x: np.ndarray, y: np.ndarray
               ) -> LinearDiscriminantModel:
-    x, y = validate_training_data(x, y)
-    class_set = np.unique(y)
+    x, y, class_set = validate_training_data(x, y)
     n, d = x.shape
 
     means = np.stack([x[y == c].mean(axis=0) for c in class_set])

@@ -23,6 +23,8 @@ one-hot block is p - 1.0 on the true column and p - 0.0 = p elsewhere, and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import MlpSpec, TrainedModel, validate_training_data
@@ -136,14 +138,14 @@ def initial_weights(spec: MlpSpec, n_in: int, class_set: np.ndarray) -> np.ndarr
     return np.concatenate([w1.ravel(), np.zeros(hidden), w2.ravel(), np.zeros(n_out)])
 
 
+@dataclass(eq=False)
 class MlpModel(TrainedModel):
     kind = "mlp"
 
-    def __init__(self, spec: MlpSpec, weights: np.ndarray, n_in: int,
-                 class_set: np.ndarray):
-        super().__init__(spec, class_set)
-        self.weights = weights
-        self.n_in = n_in
+    spec: MlpSpec
+    weights: np.ndarray
+    n_in: int
+    class_set: np.ndarray
 
     def _logits(self, rows: np.ndarray) -> np.ndarray:
         """(n_rows, n_classes) output-layer activations before the softmax."""
@@ -164,26 +166,9 @@ class MlpModel(TrainedModel):
         exp = np.exp(shifted)
         return exp / exp.sum(axis=1, keepdims=True)
 
-    def to_json_dict(self) -> dict:
-        return {
-            **super().to_json_dict(),
-            "n_in": self.n_in,
-            "weights": self.weights.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MlpModel":
-        return cls(
-            MlpSpec(**d["spec"]),
-            np.asarray(d["weights"], dtype=np.float64),
-            int(d["n_in"]),
-            np.asarray(d["class_set"], dtype=np.int64),
-        )
-
 
 def train_mlp(spec: MlpSpec, x: np.ndarray, y: np.ndarray) -> MlpModel:
-    x, y = validate_training_data(x, y)
-    class_set = np.unique(y)
+    x, y, class_set = validate_training_data(x, y)
     n, n_in = x.shape
     hidden, n_out = spec.hidden_width, len(class_set)
     onehot = (np.searchsorted(class_set, y)[:, None] == np.arange(n_out)).astype(np.float64)

@@ -26,11 +26,11 @@ bundle writer formats each of them once, and model.json is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import CubicSvmSpec, TrainedModel, validate_training_data
+from .base import CubicSvmSpec, TrainedModel, _from_json, validate_training_data
 
 _EPS = 1e-12
 # curvature used for a pair whose kernel direction is flat (LIBSVM's TAU)
@@ -152,15 +152,15 @@ class BinarySvm:
         return res
 
 
+@dataclass(eq=False)
 class CubicSvmModel(TrainedModel):
     kind = "cubic_svm"
 
-    def __init__(self, spec: CubicSvmSpec, machines: list[BinarySvm],
-                 mean: np.ndarray, scale: np.ndarray, class_set: np.ndarray):
-        super().__init__(spec, class_set)
-        self.machines = machines
-        self.mean = mean
-        self.scale = scale
+    spec: CubicSvmSpec
+    machines: list[BinarySvm]
+    mean: np.ndarray
+    scale: np.ndarray
+    class_set: np.ndarray
 
     def _votes_and_scores(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = self._check_rows(rows, len(self.mean))
@@ -201,48 +201,29 @@ class CubicSvmModel(TrainedModel):
         -0.0 and NaN stay distinct): a pool row of class a appears in every
         machine that pairs a, and the JSON writer formats it once."""
         rows: dict[bytes, list] = {}
-        return {
-            **super().to_json_dict(),
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "machines": [
-                {
-                    "pos_label": m.pos_label,
-                    "neg_label": m.neg_label,
-                    "train_x": [rows.setdefault(r.tobytes(), r.tolist()) for r in m.train_x],
-                    "train_y": m.train_y.tolist(),
-                    "alphas": m.alphas.tolist(),
-                    "bias": m.bias,
-                }
-                for m in self.machines
-            ],
-        }
+        d = super().to_json_dict()
+        d["machines"] = [
+            {
+                "pos_label": m.pos_label,
+                "neg_label": m.neg_label,
+                "train_x": [rows.setdefault(r.tobytes(), r.tolist()) for r in m.train_x],
+                "train_y": m.train_y.tolist(),
+                "alphas": m.alphas.tolist(),
+                "bias": m.bias,
+            }
+            for m in self.machines
+        ]
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CubicSvmModel":
-        machines = [
-            BinarySvm(
-                int(m["pos_label"]),
-                int(m["neg_label"]),
-                np.asarray(m["train_x"], dtype=np.float64),
-                np.asarray(m["train_y"], dtype=np.float64),
-                np.asarray(m["alphas"], dtype=np.float64),
-                float(m["bias"]),
-            )
-            for m in d["machines"]
-        ]
-        return cls(
-            CubicSvmSpec(**d["spec"]),
-            machines,
-            np.asarray(d["mean"], dtype=np.float64),
-            np.asarray(d["scale"], dtype=np.float64),
-            np.asarray(d["class_set"], dtype=np.int64),
-        )
+        machines = [BinarySvm(**{f.name: _from_json(m[f.name]) for f in fields(BinarySvm)})
+                    for m in d["machines"]]
+        return super().from_json_dict(d, machines=machines)
 
 
 def train_cubic_svm(spec: CubicSvmSpec, x: np.ndarray, y: np.ndarray) -> CubicSvmModel:
-    x, y = validate_training_data(x, y)
-    class_set = np.unique(y)
+    x, y, class_set = validate_training_data(x, y)
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     scale = np.where(std > 0, std, 1.0)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,14 +198,14 @@ def _node_from_dict(d: dict) -> _Node:
     return node
 
 
+@dataclass(eq=False)
 class FineTreeModel(TrainedModel):
     kind = "fine_tree"
 
-    def __init__(self, spec: FineTreeSpec, root: _Node, n_features: int,
-                 class_set: np.ndarray):
-        super().__init__(spec, class_set)
-        self.root = root
-        self.n_features = n_features
+    spec: FineTreeSpec
+    root: _Node  # model.json key "tree"
+    n_features: int
+    class_set: np.ndarray
 
     def _counts(self, rows: np.ndarray) -> np.ndarray:
         return _leaf_counts(self.root, self._check_rows(rows, self.n_features),
@@ -220,32 +221,25 @@ class FineTreeModel(TrainedModel):
         return counts / counts.sum(axis=1, keepdims=True)
 
     def to_json_dict(self) -> dict:
-        return {
-            **super().to_json_dict(),
-            "n_features": self.n_features,
-            "tree": _node_to_dict(self.root),
-        }
+        d = super().to_json_dict()
+        d["tree"] = _node_to_dict(d.pop("root"))
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FineTreeModel":
-        return cls(
-            FineTreeSpec(**d["spec"]),
-            _node_from_dict(d["tree"]),
-            int(d["n_features"]),
-            np.asarray(d["class_set"], dtype=np.int64),
-        )
+        return super().from_json_dict(d, root=_node_from_dict(d["tree"]))
 
 
+@dataclass(eq=False)
 class BaggedTreesModel(TrainedModel):
     """Bootstrap-aggregated CART trees; per-row majority vote across trees."""
 
     kind = "bagged_trees"
 
-    def __init__(self, spec: BaggedTreesSpec, trees: list[_Node], n_features: int,
-                 class_set: np.ndarray):
-        super().__init__(spec, class_set)
-        self.trees = trees
-        self.n_features = n_features
+    spec: BaggedTreesSpec
+    trees: list[_Node]
+    n_features: int
+    class_set: np.ndarray
 
     def _member_counts(self, rows: np.ndarray) -> Iterator[np.ndarray]:
         rows = self._check_rows(rows, self.n_features)
@@ -263,25 +257,17 @@ class BaggedTreesModel(TrainedModel):
         return sum(shares) / len(self.trees)
 
     def to_json_dict(self) -> dict:
-        return {
-            **super().to_json_dict(),
-            "n_features": self.n_features,
-            "trees": [_node_to_dict(t) for t in self.trees],
-        }
+        d = super().to_json_dict()
+        d["trees"] = [_node_to_dict(t) for t in self.trees]
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BaggedTreesModel":
-        return cls(
-            BaggedTreesSpec(**d["spec"]),
-            [_node_from_dict(t) for t in d["trees"]],
-            int(d["n_features"]),
-            np.asarray(d["class_set"], dtype=np.int64),
-        )
+        return super().from_json_dict(d, trees=[_node_from_dict(t) for t in d["trees"]])
 
 
 def train_fine_tree(spec: FineTreeSpec, x: np.ndarray, y: np.ndarray) -> FineTreeModel:
-    x, y = validate_training_data(x, y)
-    class_set = np.unique(y)
+    x, y, class_set = validate_training_data(x, y)
     label_idx = np.searchsorted(class_set, y)
     root = _grow_tree(x, label_idx, class_set, spec.max_splits)
     return FineTreeModel(spec, root, x.shape[1], class_set)
@@ -299,8 +285,7 @@ def train_bagged_trees(
     sampler overrides bootstrap row selection (testing hook): it receives
     (tree_index, n_rows) and returns the row indices to train on.
     """
-    x, y = validate_training_data(x, y)
-    class_set = np.unique(y)
+    x, y, class_set = validate_training_data(x, y)
     label_idx = np.searchsorted(class_set, y)
     n = x.shape[0]
     trees = []

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .classifiers.base import check_integers
 from .skeleton import (
     DYNAMIC_LABELS,
     N_JOINTS,
@@ -115,14 +116,10 @@ class SynthSpec:
     )
 
     def __post_init__(self):
-        if self.n_participants < 1:
-            raise ValueError("n_participants must be >= 1")
-        if self.frames_per_sequence < 51:
-            raise ValueError("frames_per_sequence must be >= 51")
+        check_integers(self, "n_participants")
+        check_integers(self, "frames_per_sequence", minimum=51)
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
         if set(self.gait_speed_range) != set(DYNAMIC_LABELS):
             raise ValueError(
                 f"gait_speed_range must cover exactly the dynamic classes {DYNAMIC_LABELS}"
@@ -518,7 +515,11 @@ def generate_depth_pair(
     forearms by depth_offset along z. The x and y coordinates are therefore
     class-independent, so any classifier restricted to a 2D (x, y)
     projection sees no signal while the 3D features separate cleanly.
+    The inputs other than depth_offset follow the SynthSpec rules.
     """
+    SynthSpec(n_participants, frames_per_sequence, noise_sigma, seed)
+    if not math.isfinite(depth_offset):
+        raise ValueError(f"depth_offset must be finite, got {depth_offset!r}")
     base = class_template(2, 0.0)
     shifted = base.copy()
     for j in (JointId.RForearm, JointId.RHand, JointId.LForearm, JointId.LHand):

@@ -268,7 +268,7 @@ def per_step_loss_and_gradient(weights, batch_x, batch_y, hidden, n_out):
 def per_step_train_weights(spec, x, y):
     """Trained MLP weight vector: fancy-indexed batches and a new weight
     vector per step."""
-    x, y = validate_training_data(x, y)
+    x, y, _ = validate_training_data(x, y)
     class_set = np.unique(y)
     y_idx = np.searchsorted(class_set, y)
     n = x.shape[0]

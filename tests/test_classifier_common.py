@@ -124,14 +124,46 @@ def test_predict_with_scores_matches_predict_and_decision_scores():
         assert np.array_equal(scores, model.decision_scores(queries)), type(spec).__name__
 
 
+# model.json keys of each kind besides kind, spec and class_set: its state
+# field names, except that the tree models store their nodes under "tree"
+STATE_KEYS = {
+    "fine_tree": {"tree", "n_features"},
+    "bagged_trees": {"trees", "n_features"},
+    "fine_knn": {"train_x", "train_y"},
+    "cubic_svm": {"machines", "mean", "scale"},
+    "linear_discriminant": {"means", "weights", "intercepts"},
+    "mlp": {"weights", "n_in"},
+}
+
+
+def _assert_same_state(a, b, where):
+    """Every array field of b equals a's in values, dtype and shape, and every
+    scalar field in value and type; SVM machines are compared field by field."""
+    for field in dataclasses.fields(a):
+        old, new = getattr(a, field.name), getattr(b, field.name)
+        name = f"{where}.{field.name}"
+        if isinstance(old, np.ndarray):
+            assert (new.dtype, new.shape) == (old.dtype, old.shape), name
+            assert np.array_equal(new, old), name
+        elif isinstance(old, (int, float)):
+            assert type(new) is type(old) and new == old, name
+        elif field.name == "machines":
+            for i, (m_old, m_new) in enumerate(zip(old, new, strict=True)):
+                _assert_same_state(m_old, m_new, f"{name}[{i}]")
+
+
 def test_model_json_round_trip():
     x, y, queries = _three_blobs(seed=8)
     for spec in ALL_SPECS:
         model = train_arrays(spec, x, y)
         payload = json.loads(json.dumps(model.to_json_dict()))
         assert payload["spec"] == dataclasses.asdict(spec), type(spec).__name__
+        assert set(payload) == {"kind", "spec", "class_set", *STATE_KEYS[model.kind]}
         loaded = model_from_json_dict(payload)
         assert type(loaded) is type(model)
+        assert loaded.spec == model.spec
+        _assert_same_state(model, loaded, model.kind)
+        assert json.loads(json.dumps(loaded.to_json_dict())) == payload, model.kind
         assert np.array_equal(loaded.predict(queries), model.predict(queries))
         assert np.array_equal(loaded.decision_scores(queries),
                               model.decision_scores(queries)), type(spec).__name__

@@ -19,6 +19,7 @@ from skelhar import (
     validate_sequence,
     write_dataset,
 )
+from skelhar.classifiers import HyperparameterError
 from skelhar.dataset import _generate_sequence, _quantize_sig9, csv_columns
 from conftest import make_sequence
 from oracles import per_frame_class_template, per_frame_sequence, sig9_by_text
@@ -264,6 +265,11 @@ class TestGenerateSynthetic:
             SynthSpec(n_participants=0)
         with pytest.raises(ValueError):
             SynthSpec(gait_speed_range={5: (0.01, 0.02)})
+        for field, value in [("seed", 1.5), ("n_participants", 1.5),
+                             ("n_participants", True), ("frames_per_sequence", 51.5)]:
+            with pytest.raises(HyperparameterError) as info:
+                SynthSpec(**{field: value})
+            assert info.value.field == field
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_spec_rejects_non_finite_noise(self, sigma):
@@ -383,3 +389,12 @@ class TestDepthPairFixture:
         pb = pb - pb[JointId.Head]
         assert np.allclose(pa[:, :2], pb[:, :2], atol=1e-7)
         assert np.abs(pa[:, 2] - pb[:, 2]).max() > 0.3
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", math.nan), ("noise_sigma", -0.1), ("frames_per_sequence", 10),
+        ("seed", -1), ("n_participants", 0), ("depth_offset", math.nan),
+        ("depth_offset", math.inf),
+    ])
+    def test_rejects_bad_inputs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            generate_depth_pair(**{"seed": 0, field: value})

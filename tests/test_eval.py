@@ -5,24 +5,31 @@ import numpy as np
 import pytest
 
 from skelhar import (
+    BaggedTreesSpec,
+    CubicSvmSpec,
     FeatureMatrix,
     FineKnnSpec,
     FineTreeSpec,
     JointSubset,
+    LinearDiscriminantSpec,
+    MlpSpec,
     Modality,
     PcaConfig,
+    PcaModel,
     PipelineConfig,
     SplitPlan,
     StratifyBy,
+    SynthSpec,
     build_feature_matrix,
     compute_report,
     cross_validate,
+    generate_synthetic,
     run_experiment,
     run_matrix_experiment,
     split,
 )
-from skelhar.classifiers import HyperparameterError
-from skelhar.evaluation import assign_folds
+from skelhar.classifiers import HyperparameterError, model_from_json_dict
+from skelhar.evaluation import assign_folds, write_json
 from skelhar.features import Provenance
 
 
@@ -310,6 +317,28 @@ class TestRunExperiment:
         result = run_matrix_experiment(config, matrix)
         assert result.pca_model is not None
         assert result.pca_model.retained_k <= matrix.n_features
+
+    def test_model_json_is_a_fixed_point_of_load_and_save(self, tmp_path):
+        # a state array reloaded with another dtype would change the bytes:
+        # an int64 array read back as float64 writes 1.0 for 1
+        matrix = PipelineConfig(classifier=FineKnnSpec()).feature_matrix(
+            generate_synthetic(SynthSpec(n_participants=2, seed=0)))
+        specs = [FineTreeSpec(), LinearDiscriminantSpec(), CubicSvmSpec(), FineKnnSpec(),
+                 BaggedTreesSpec(n_trees=3), MlpSpec(epochs=5)]
+        for spec in specs:
+            for pca in (False, True):
+                out = tmp_path / f"{type(spec).__name__}-{pca}"
+                # two folds: cross-validation does not shape the saved model
+                config = PipelineConfig(pca=PcaConfig(enabled=pca), classifier=spec, folds=2)
+                run_matrix_experiment(config, matrix, out_dir=out)
+                saved = json.loads((out / "model.json").read_text())
+                again = {
+                    "classifier": model_from_json_dict(saved["classifier"]).to_json_dict(),
+                    "pca": saved["pca"] and PcaModel.from_json_dict(saved["pca"]).to_json_dict(),
+                }
+                write_json(again, out / "again.json")
+                assert (out / "again.json").read_bytes() == (out / "model.json").read_bytes(), \
+                    out.name
 
     def test_invalid_manifest_is_rejected(self, two_sequence_manifest):
         from skelhar import DatasetManifest, Synthetic
