@@ -183,8 +183,21 @@ class TrainedModel:
     @classmethod
     def from_json_dict(cls, d: dict, **decoded):
         """The model that `to_json_dict` wrote as d; a field passed by
-        keyword is used as it is."""
-        spec = typing.get_type_hints(cls)["spec"](**d["spec"])
-        state = {f.name: decoded[f.name] if f.name in decoded else _from_json(d[f.name])
-                 for f in fields(cls)[1:]}
-        return cls(spec, **state)
+        keyword is used as it is. A missing field or an unknown spec key
+        raises a ValueError naming the model kind and the key."""
+        spec_type = typing.get_type_hints(cls)["spec"]
+        spec = cls._json_field(d, "spec")
+        unknown = sorted(set(spec) - {f.name for f in fields(spec_type)})
+        if unknown:
+            raise ValueError(f"{cls.kind} model: unknown spec key {unknown[0]!r}")
+        state = {f.name: decoded[f.name] if f.name in decoded
+                 else _from_json(cls._json_field(d, f.name)) for f in fields(cls)[1:]}
+        return cls(spec_type(**spec), **state)
+
+    @classmethod
+    def _json_field(cls, d: dict, name: str):
+        """d[name], or a ValueError naming the model kind and the field."""
+        try:
+            return d[name]
+        except KeyError:
+            raise ValueError(f"{cls.kind} model: missing field {name!r}") from None

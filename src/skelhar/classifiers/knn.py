@@ -28,6 +28,12 @@ class FineKnnModel(TrainedModel):
     train_y: np.ndarray
     class_set: np.ndarray
 
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.train_y) != len(self.train_x):
+            raise ValueError(f"{self.kind} model: train_y has {len(self.train_y)} labels "
+                             f"for {len(self.train_x)} train_x rows")
+
     def _vote_counts(self, rows: np.ndarray) -> np.ndarray:
         """(n_rows, n_classes) count of each class among the k nearest."""
         rows = self._check_rows(rows, self.train_x.shape[1])

@@ -217,8 +217,9 @@ class CubicSvmModel(TrainedModel):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CubicSvmModel":
-        machines = [BinarySvm(**{f.name: _from_json(m[f.name]) for f in fields(BinarySvm)})
-                    for m in d["machines"]]
+        machines = [BinarySvm(**{f.name: _from_json(cls._json_field(m, f.name))
+                                 for f in fields(BinarySvm)})
+                    for m in cls._json_field(d, "machines")]
         return super().from_json_dict(d, machines=machines)
 
 

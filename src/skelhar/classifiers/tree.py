@@ -227,7 +227,7 @@ class FineTreeModel(TrainedModel):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FineTreeModel":
-        return super().from_json_dict(d, root=_node_from_dict(d["tree"]))
+        return super().from_json_dict(d, root=_node_from_dict(cls._json_field(d, "tree")))
 
 
 @dataclass(eq=False)
@@ -263,7 +263,8 @@ class BaggedTreesModel(TrainedModel):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BaggedTreesModel":
-        return super().from_json_dict(d, trees=[_node_from_dict(t) for t in d["trees"]])
+        trees = [_node_from_dict(t) for t in cls._json_field(d, "trees")]
+        return super().from_json_dict(d, trees=trees)
 
 
 def train_fine_tree(spec: FineTreeSpec, x: np.ndarray, y: np.ndarray) -> FineTreeModel:

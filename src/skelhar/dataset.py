@@ -4,10 +4,16 @@ File layout (one file per dataset):
 
     participant,activity,frame,Head_x,Head_y,Head_z,...,EffectorLToe_z
 
-fixed 87-column CSV, one row per frame, UTF-8, LF line endings, coordinates
-as decimal text with 9 significant digits. Rows of a (participant, activity)
-sequence are contiguous and frame-ordered. A file with only the header is an
-empty dataset.
+fixed 87-column CSV, one row per frame, UTF-8, coordinates as decimal text
+with 9 significant digits ("%.9g"). Files are written with LF line ends and
+read with LF or CRLF ones; no other character ends a line. Rows of a
+(participant, activity) sequence are contiguous and frame-ordered. A file
+with only the header is an empty dataset.
+
+format_sig9 writes the "%.9g" text of a block of values at a time with
+numpy, and read_dataset parses a block of lines at a time with np.loadtxt;
+a block it cannot take is parsed line by line, which names the line of the
+first defect.
 
 The synthetic generator builds each activity class from a parametric
 skeleton: a base posture (pelvis height, torso/head pitch, arm and leg
@@ -147,15 +153,128 @@ _N_COLS = 3 + 3 * N_JOINTS
 _MAX_FRAME_INDEX = np.iinfo(np.int64).max
 
 
+_POW10 = np.array([float(10**k) for k in range(23)])  # 10**k, exact for k <= 22
+
+
+def _sig9(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(exponent, mantissa, fast) of every value, as int64, int64 and bool arrays.
+
+    Where fast is True, |v| rounded to 9 significant digits is
+    mantissa * 10**(exponent - 8), mantissa in [1e8, 1e9): the digits and
+    exponent "%.9g" % v prints. |v| * 10**k, k = 8 - floor(log10|v|), is one
+    correctly rounded operation on exact doubles, rounded to an integer r;
+    r = 1e9 carries into the next exponent. fast is False, and the mantissa
+    a placeholder, for zero, non-finite values, |k| > 21 (so that 10**k is
+    exact also after a carry), a scaled value outside [1e8, 1e9) (a misjudged
+    log10) and one within 1e-6 of a tie.
+    """
+    a = np.abs(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(a))
+        np.subtract(8.0, k, out=k)
+        fast = np.abs(k) <= 21  # False for zero, NaN and inf
+        k[~fast] = 0.0
+        k = k.astype(np.int64)
+        scale = _POW10[np.abs(k)]
+        scaled = np.where(k >= 0, a * scale, a / scale)
+        r = np.rint(scaled)
+        fast &= (scaled >= 1e8) & (scaled < 1e9) & (np.abs(scaled - r) < 0.5 - 1e-6)
+    r[~fast] = 1e8
+    carry = r == 1e9
+    r[carry] = 1e8
+    return 8 - k + carry, r.astype(np.int64), fast
+
+
+# format_sig9 lays each value out in 24 bytes, three little-endian uint64 words:
+#   byte 0: "-";  bytes 1..5: "0." and the zeros after it, below exponent 0;
+#   bytes 6..22: mantissa digit i at 6 + 2i, a "." slot after each of the first 8;
+#   byte 23: "," ("\n" after a row's last value).
+# That covers "%.9g"'s fixed notation, decimal exponents -4 to 8. The bytes a
+# value uses depend only on its sign, exponent and trailing zeros, which
+# index two tables: the digits it keeps (trailing zeros after the point are
+# stripped) and the other characters. Unused bytes are 0, and are dropped
+# from the block's text.
+_SIG9_BLOCK = 2048  # values per block: about 150 kB of working memory
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, trailing zeros) of n = 0..9999: its 4 digits at the even bytes
+    of a word (words 1 and 2), and how many of them end it as zeros."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row n: n's digits
+    pairs = np.zeros((10000, 8), np.uint8)
+    pairs[:, ::2] = digits + ord("0")
+    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1, dtype=np.int8).sum(axis=1, dtype=np.int8)
+    return pairs.view("<u8").ravel(), trailing
+
+
+_PAIRS, _TRAILING_ZEROS4 = _digit_tables()
+_FIRST_DIGIT = (np.arange(10, dtype="<u8") + ord("0")) << 48  # byte 6
+
+
+def _sig9_layouts() -> tuple[np.ndarray, np.ndarray]:
+    """(mask, fill): the (2 * 13 * 9, 3) words of each (sign, exponent, trailing zeros)."""
+    byte = np.arange(24, dtype=np.int8)
+    slot = (byte - 6) // 2  # mantissa digit, or the "." after it
+    neg = np.arange(2)[:, None, None, None] == 1
+    exponent = np.arange(-4, 9, dtype=np.int8)[:, None, None]
+    trailing = np.arange(9, dtype=np.int8)[:, None]
+    last = np.maximum(exponent, 8 - trailing)  # the last digit written
+    digit = (byte >= 6) & (byte % 2 == 0) & (slot <= last)
+    point = (byte >= 6) & (byte % 2 == 1) & (slot == exponent) & (last > exponent)
+    prefix = (exponent < 0) & (byte >= 1) & (byte < 2 - exponent)  # "0." and zeros
+    char = np.uint8
+    fill = (point * char(ord(".")) + prefix * np.where(byte == 2, char(ord(".")), char(ord("0")))
+            + ((byte == 0) & neg) * char(ord("-")) + (byte == 23) * char(ord(",")))
+    return tuple(np.broadcast_to(t, (2, 13, 9, 24)).astype(np.uint8).reshape(-1, 24).view("<u8")
+                 for t in (digit * char(255), fill))
+
+
+_LAYOUT_MASK, _LAYOUT_FILL = _sig9_layouts()
+_ROW_END = np.uint64(ord(",") ^ ord("\n")) << np.uint64(56)  # byte 23: word 2's last
+
+
+def _format_sig9_block(rows: np.ndarray) -> str:
+    """The rows of a 2-D float array as "%.9g" text, "," between values, "\n" after each row."""
+    values = rows.ravel()
+    exponent, mantissa, fast = _sig9(values)
+    fast &= (exponent >= -4) & (exponent <= 8)
+    first, rest = np.divmod(mantissa.astype(np.int32), 10**8)
+    middle, last = np.divmod(rest, 10**4)
+    trailing = _TRAILING_ZEROS4[last] + (last == 0) * _TRAILING_ZEROS4[middle]
+    layout = (np.signbit(values) * 13 + exponent + 4) * 9 + trailing
+    layout[~fast] = 0
+    del exponent, mantissa, rest, trailing  # a block's peak memory is what a writer holds
+    text = bytearray(24 * values.size)
+    words = np.frombuffer(text, "<u8").reshape(-1, 3)
+    _LAYOUT_MASK.take(layout, axis=0, out=words)
+    words[:, 0] &= _FIRST_DIGIT.take(first)
+    words[:, 1] &= _PAIRS.take(middle)
+    words[:, 2] &= _PAIRS.take(last)
+    words |= _LAYOUT_FILL.take(layout, axis=0)
+    chars = words.view(np.uint8)
+    for i in np.flatnonzero(~fast).tolist():
+        value = ("%.9g" % values[i]).encode()
+        chars[i, :23] = 0
+        chars[i, :len(value)] = np.frombuffer(value, np.uint8)
+    words.reshape(rows.shape + (3,))[:, -1, 2] ^= _ROW_END
+    return text.translate(None, b"\0").decode("ascii")
+
+
 def format_sig9(rows: np.ndarray) -> Iterator[str]:
     """Each row of a 2-D float array as comma-separated text, 9 significant digits.
 
     This is the file precision of every CSV the package writes: a value
-    that survives it round-trips bit-exactly through float(). Rows are
-    formatted lazily, so a caller that decorates them holds one copy.
+    that survives it round-trips bit-exactly through float(). The text is
+    "%.9g" % v for every value, byte for byte. Blocks of 2048 values are
+    formatted at a time with numpy: values in "%.9g"'s fixed notation
+    (decimal exponents -4 to 8) from _sig9's 9-digit integer mantissa, the
+    rest (zero, non-finite, other exponents, near-ties) by "%.9g" itself.
+    Rows are yielded lazily, so a caller that decorates them holds one block.
     """
-    template = ",".join(["%.9g"] * rows.shape[1])
-    return (template % tuple(row.tolist()) for row in rows)
+    rows = np.asarray(rows, dtype=np.float64)
+    step = max(1, _SIG9_BLOCK // max(1, rows.shape[1]))
+    for start in range(0, len(rows), step):
+        yield from _format_sig9_block(rows[start:start + step]).split("\n")[:-1]
 
 
 def write_lines(path: str | Path, header: str, rows: Iterable[str]) -> None:
@@ -187,16 +306,65 @@ def write_dataset(manifest: DatasetManifest, path: str | Path) -> None:
 def read_dataset(path: str | Path) -> DatasetManifest:
     """Parse a dataset file, failing with a located error on any defect.
 
-    Every row is parsed first, then every sequence must pass
-    validate_sequence; the first defect found aborts the read and names the
-    offending line.
+    The file is UTF-8, and its lines end in LF or CRLF; no other character
+    ends a line. It is read in blocks of lines, so a pipe works, and only
+    one block of text is held at a time. Every row is parsed first, then
+    every sequence must pass validate_sequence; the first defect found
+    aborts the read and names the offending line.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DatasetFormatError("empty file: missing header")
+    rows = _Rows()
+    with open(path, "rb") as f:
+        header = f.readline()
+        if not header:
+            raise DatasetFormatError("empty file: missing header")
+        _check_header(_text(header, 1))
+        line_no = 2
+        while block := f.readlines(_READ_BYTES):
+            rows.add(_text(b"".join(block), line_no), line_no)
+            line_no += len(block)
 
-    header_fields = lines[0].split(",")
+    sequences: list[ActivitySequence] = []
+    for (participant, label), (coords, frame_index, row_lines) in rows.sequences():
+        try:
+            seq = ActivitySequence(participant, ActivityClass(label),
+                                   coords.reshape(-1, N_JOINTS, 3), frame_index)
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc), line=int(row_lines[0])) from exc
+        violations = validate_sequence(seq).violations
+        if violations:
+            v = violations[0]
+            raise DatasetFormatError(
+                f"sequence (participant={participant}, activity={label}): {v.message}",
+                line=None if v.position is None else int(row_lines[v.position]),
+            )
+        sequences.append(seq)
+    return DatasetManifest(tuple(sequences), FileIngest(str(path)))
+
+
+_READ_BYTES = 1 << 16  # text per block of lines that read_dataset parses at once
+# Characters that float() and np.loadtxt may read differently: loadtxt
+# strips \x1c-\x1f around a number and float() does not, and loadtxt ends a
+# line at a CR (numpy 2.4 rejects one inside a line). A block with one of
+# them, or with any non-ASCII text, goes through the locator.
+_LOADTXT_UNSAFE = "\r\x1c\x1d\x1e\x1f"
+
+
+def _text(data: bytes, first_line: int) -> str:
+    """Lines read from a dataset file, the first at line first_line, as UTF-8
+    text with each CRLF as LF and without the final LF."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = first_line + data.count(b"\n", 0, exc.start)
+        raise DatasetFormatError(f"not UTF-8: {exc.reason}", line=line) from exc
+    if "\r" in text:  # `in` scans much faster than replace
+        text = text.replace("\r\n", "\n")
+    return text.removesuffix("\n")
+
+
+def _check_header(line: str) -> None:
+    header_fields = line.split(",")
     expected_fields = csv_columns()
     if header_fields != expected_fields:
         if len(header_fields) != len(expected_fields):
@@ -212,60 +380,116 @@ def read_dataset(path: str | Path) -> DatasetManifest:
             f"unknown column {bad[0]!r} where {bad[1]!r} was expected", line=1
         )
 
-    # Parse every row into preallocated arrays in file order; a sequence is
-    # the contiguous block of rows from its entry in starts to the next one.
-    coords = np.empty((len(lines) - 1, _N_COLS - 3))
-    frame_index = np.empty(len(lines) - 1, dtype=np.int64)
-    row_lines = np.empty(len(lines) - 1, dtype=np.int64)
-    starts: dict[tuple[int, int], int] = {}
-    n = 0
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != _N_COLS:
-            raise DatasetFormatError(
-                f"row has {len(fields)} fields, expected {_N_COLS}", line=line_no
-            )
-        try:
-            key = (int(fields[0]), int(fields[1]))
-            frame = int(fields[2])
-        except ValueError as exc:
-            raise DatasetFormatError(f"malformed row key: {exc}", line=line_no) from exc
-        try:
-            coords[n] = fields[3:]
-        except ValueError as exc:
-            raise DatasetFormatError(f"malformed coordinate: {exc}", line=line_no) from exc
-        if key not in starts:
-            starts[key] = n
-        elif key != next(reversed(starts)):
-            raise DatasetFormatError(
-                f"rows for (participant={key[0]}, activity={key[1]}) are not contiguous",
-                line=line_no,
-            )
-        if not 0 <= frame <= _MAX_FRAME_INDEX:
-            bound = "be non-negative" if frame < 0 else f"be at most {_MAX_FRAME_INDEX}"
-            raise DatasetFormatError(f"frame_index must {bound}, got {frame}", line=line_no)
-        frame_index[n], row_lines[n] = frame, line_no
-        n += 1
 
-    sequences: list[ActivitySequence] = []
-    ends = list(starts.values())[1:] + [n]
-    for ((participant, label), lo), hi in zip(starts.items(), ends):
+class _Rows:
+    """The body rows of a dataset file, parsed block by block in file order.
+
+    A block is parsed at once (_parse), or else line by line (_locate),
+    which raises the located error of its first defective line. Each block
+    gives its rows' coordinates, frame indices and line numbers, and the
+    runs of rows that share a (participant, activity) key. The rows of a
+    sequence are collected in pieces, joined into one array of each when
+    the next sequence opens.
+    """
+
+    def __init__(self):
+        self.pieces: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
+
+    def add(self, text: str, first_line: int) -> None:
+        """Parse the LF-separated lines of text, the first of them at line first_line."""
+        lines = text.split("\n")
+        coords, frames, line_numbers, runs = (self._parse(text, lines, first_line)
+                                              or self._locate(lines, first_line))
+        ends = [row for row, _ in runs[1:]] + [len(frames)]
+        for (lo, key), hi in zip(runs, ends):
+            if key not in self.pieces:
+                self._join_last()
+                self.pieces[key] = []
+            self.pieces[key].append((coords[lo:hi], frames[lo:hi], line_numbers[lo:hi]))
+
+    def _join_last(self) -> None:
+        if self.pieces:
+            pieces = self.pieces[next(reversed(self.pieces))]
+            pieces[:] = [tuple(np.concatenate(part) for part in zip(*pieces))]
+
+    def sequences(self) -> Iterator[tuple[tuple[int, int], tuple[np.ndarray, ...]]]:
+        """Each sequence's key and (coordinates, frame indices, line numbers) in
+        file order, dropped as it is yielded so that a copy replaces it."""
+        self._join_last()
+        while self.pieces:
+            key = next(iter(self.pieces))
+            yield key, self.pieces.pop(key)[0]
+
+    def _parse(self, text: str, lines: list[str], first_line: int) -> tuple | None:
+        """The block's rows, keys from str.split and int and coordinates from
+        one np.loadtxt call; None where the block has a defect or text that
+        float() and loadtxt may read differently."""
+        if not text.isascii() or any(c in text for c in _LOADTXT_UNSAFE):
+            return None
+        line_numbers = np.arange(first_line, first_line + len(lines))
+        if "" in lines:
+            kept = np.flatnonzero([bool(line) for line in lines])
+            lines, line_numbers = [lines[i] for i in kept], line_numbers[kept]
+        if not lines:
+            return None
         try:
-            seq = ActivitySequence(participant, ActivityClass(label),
-                                   coords[lo:hi].reshape(-1, N_JOINTS, 3), frame_index[lo:hi])
-        except ValueError as exc:
-            raise DatasetFormatError(str(exc), line=int(row_lines[lo])) from exc
-        violations = validate_sequence(seq).violations
-        if violations:
-            v = violations[0]
-            raise DatasetFormatError(
-                f"sequence (participant={participant}, activity={label}): {v.message}",
-                line=None if v.position is None else int(row_lines[lo + v.position]),
-            )
-        sequences.append(seq)
-    return DatasetManifest(tuple(sequences), FileIngest(str(path)))
+            fields = [line.split(",", 3) for line in lines]
+            keys = np.array([(int(f[0]), int(f[1]), int(f[2])) for f in fields], dtype=np.int64)
+            coords = np.loadtxt([f[3] for f in fields], delimiter=",", comments=None, ndmin=2)
+        except (IndexError, ValueError, OverflowError):
+            return None
+        if coords.shape != (len(lines), _N_COLS - 3) or (keys[:, 2] < 0).any():
+            return None
+        opens = np.flatnonzero(np.r_[True, (keys[1:, :2] != keys[:-1, :2]).any(axis=1)])
+        runs = [(row, (participant, label)) for row, participant, label
+                in zip(opens.tolist(), *keys[opens, :2].T.tolist())]
+        continues = runs[0][1] == next(reversed(self.pieces), None)
+        opened = [key for _, key in runs[continues:]]
+        if len(set(opened)) < len(opened) or not self.pieces.keys().isdisjoint(opened):
+            return None  # a sequence reopens
+        return coords, keys[:, 2], line_numbers, runs
+
+    def _locate(self, lines: list[str], first_line: int) -> tuple:
+        """The block's rows parsed one line at a time, raising the located
+        error of the first defective line."""
+        coords = np.empty((len(lines), _N_COLS - 3))
+        frames: list[int] = []
+        line_numbers: list[int] = []
+        runs: list[tuple[int, tuple[int, int]]] = []
+        starts = dict.fromkeys(self.pieces)  # the keys seen, in file order
+        for line_no, line in enumerate(lines, start=first_line):
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != _N_COLS:
+                raise DatasetFormatError(
+                    f"row has {len(fields)} fields, expected {_N_COLS}", line=line_no
+                )
+            try:
+                key = (int(fields[0]), int(fields[1]))
+                frame = int(fields[2])
+            except ValueError as exc:
+                raise DatasetFormatError(f"malformed row key: {exc}", line=line_no) from exc
+            try:
+                coords[len(frames)] = fields[3:]
+            except ValueError as exc:
+                raise DatasetFormatError(f"malformed coordinate: {exc}", line=line_no) from exc
+            if key not in starts:
+                starts[key] = None
+            elif key != next(reversed(starts)):
+                raise DatasetFormatError(
+                    f"rows for (participant={key[0]}, activity={key[1]}) are not contiguous",
+                    line=line_no,
+                )
+            if not 0 <= frame <= _MAX_FRAME_INDEX:
+                bound = "be non-negative" if frame < 0 else f"be at most {_MAX_FRAME_INDEX}"
+                raise DatasetFormatError(f"frame_index must {bound}, got {frame}", line=line_no)
+            if not runs or key != runs[-1][1]:
+                runs.append((len(frames), key))
+            frames.append(frame)
+            line_numbers.append(line_no)
+        return (coords[:len(frames)], np.array(frames, dtype=np.int64),
+                np.array(line_numbers, dtype=np.int64), runs)
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +659,19 @@ def class_template(label: int, phase: float | np.ndarray = 0.0) -> np.ndarray:
 # Generation
 # ---------------------------------------------------------------------------
 
-_POW10 = np.array([float(10**k) for k in range(23)])  # 10**k, exact for k <= 22
-
-
 def _quantize_sig9(a: np.ndarray) -> np.ndarray:
     """Round every value to 9 significant decimal digits (the file precision).
 
-    Bitwise float("%.9g" % v), without text: |v| * 10**k, k = 8 - floor(log10|v|),
-    is rounded to an integer r, and r / 10**k is one correctly rounded operation
-    on exact doubles. Zero, non-finite, |k| > 22, a scaled value outside
-    [1e8, 1e9) (a misjudged log10) or within 1e-6 of a tie go through the text.
+    Bitwise float("%.9g" % v), without text: from _sig9's exponent and
+    mantissa m, k = 8 - exponent, m / 10**k (or m * 10**-k) is one correctly
+    rounded operation on exact doubles. The values _sig9 leaves to the text
+    go through it.
     """
     a = np.asarray(a, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = 8.0 - np.floor(np.log10(np.abs(a)))
-        fast = np.abs(k) <= 22  # False for zero, NaN and inf
-        k = np.where(fast, k, 0.0).astype(np.int64)
-        scale, up = _POW10[np.abs(k)], k >= 0
-        scaled = np.where(up, np.abs(a) * scale, np.abs(a) / scale)
-        r = np.rint(scaled)
-        fast &= (scaled >= 1e8) & (scaled < 1e9) & (np.abs(scaled - r) < 0.5 - 1e-6)
-    out = np.copysign(np.where(up, r / scale, r * scale), a)
+    exponent, mantissa, fast = _sig9(a)
+    k = 8 - exponent
+    scale = _POW10[np.abs(k)]
+    out = np.copysign(np.where(k >= 0, mantissa / scale, mantissa * scale), a)
     if not fast.all():
         out[~fast] = [float("%.9g" % v) for v in a[~fast].tolist()]
     return out

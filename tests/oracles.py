@@ -6,13 +6,25 @@ so that they share no code path with the implementations they check.
 
 import heapq
 import math
+from pathlib import Path
 
 import numpy as np
 
-from skelhar import JointId, Modality, Violation
+from skelhar import (
+    ActivityClass,
+    ActivitySequence,
+    DatasetFormatError,
+    DatasetManifest,
+    FileIngest,
+    JointId,
+    Modality,
+    Violation,
+    validate_sequence,
+)
 from skelhar.classifiers.base import validate_training_data
 from skelhar.classifiers.mlp import BATCH_SIZE, _unpack, initial_weights
 from skelhar.classifiers.tree import _Node
+from skelhar.dataset import csv_columns
 from skelhar.skeleton import MIN_SOURCE_FRAMES, N_JOINTS
 
 
@@ -444,3 +456,81 @@ def per_frame_sequence(spec, participant, label, rounded=True):
         walk = (t - (n - 1) / 2.0) * speed * heading
         positions[t] = pose + home + walk
     return sig9_by_text(positions + noise) if rounded else positions + noise
+
+
+def format_sig9_by_text(rows):
+    """Each row of a 2-D float array as "%.9g" values joined by commas, one
+    Python format per row."""
+    template = ",".join(["%.9g"] * rows.shape[1])
+    return [template % tuple(row.tolist()) for row in rows]
+
+
+def read_dataset_by_lines(path):
+    """The dataset reader as one loop over the file's lines, each row parsed
+    on its own; lines end in LF or CRLF only."""
+    with open(path, encoding="utf-8", newline="") as f:
+        text = f.read().replace("\r\n", "\n")
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    if not lines:
+        raise DatasetFormatError("empty file: missing header")
+    n_cols = len(csv_columns())
+    header_fields = lines[0].split(",")
+    if header_fields != csv_columns():
+        if len(header_fields) != n_cols:
+            raise DatasetFormatError(
+                f"header has {len(header_fields)} columns, expected {n_cols}", line=1)
+        got, want = next((g, w) for g, w in zip(header_fields, csv_columns()) if g != w)
+        raise DatasetFormatError(f"unknown column {got!r} where {want!r} was expected", line=1)
+
+    coords = np.empty((len(lines) - 1, n_cols - 3))
+    frame_index = np.empty(len(lines) - 1, dtype=np.int64)
+    row_lines = np.empty(len(lines) - 1, dtype=np.int64)
+    starts = {}
+    n = 0
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != n_cols:
+            raise DatasetFormatError(f"row has {len(fields)} fields, expected {n_cols}",
+                                     line=line_no)
+        try:
+            key = (int(fields[0]), int(fields[1]))
+            frame = int(fields[2])
+        except ValueError as exc:
+            raise DatasetFormatError(f"malformed row key: {exc}", line=line_no) from exc
+        try:
+            coords[n] = fields[3:]
+        except ValueError as exc:
+            raise DatasetFormatError(f"malformed coordinate: {exc}", line=line_no) from exc
+        if key not in starts:
+            starts[key] = n
+        elif key != next(reversed(starts)):
+            raise DatasetFormatError(
+                f"rows for (participant={key[0]}, activity={key[1]}) are not contiguous",
+                line=line_no)
+        if not 0 <= frame <= np.iinfo(np.int64).max:
+            bound = ("be non-negative" if frame < 0
+                     else f"be at most {np.iinfo(np.int64).max}")
+            raise DatasetFormatError(f"frame_index must {bound}, got {frame}", line=line_no)
+        frame_index[n], row_lines[n] = frame, line_no
+        n += 1
+
+    sequences = []
+    ends = list(starts.values())[1:] + [n]
+    for ((participant, label), lo), hi in zip(starts.items(), ends):
+        try:
+            seq = ActivitySequence(participant, ActivityClass(label),
+                                   coords[lo:hi].reshape(-1, 28, 3), frame_index[lo:hi])
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc), line=int(row_lines[lo])) from exc
+        violations = validate_sequence(seq).violations
+        if violations:
+            v = violations[0]
+            raise DatasetFormatError(
+                f"sequence (participant={participant}, activity={label}): {v.message}",
+                line=None if v.position is None else int(row_lines[lo + v.position]))
+        sequences.append(seq)
+    return DatasetManifest(tuple(sequences), FileIngest(str(Path(path))))

@@ -169,6 +169,27 @@ def test_model_json_round_trip():
                               model.decision_scores(queries)), type(spec).__name__
 
 
+def test_model_json_names_a_missing_field():
+    x, y, _ = _three_blobs(seed=8)
+    for spec in ALL_SPECS:
+        payload = train_arrays(spec, x, y).to_json_dict()
+        for key in set(payload) - {"kind"}:
+            broken = {k: v for k, v in payload.items() if k != key}
+            with pytest.raises(ValueError, match=f"^{payload['kind']} model: missing field "
+                                                 f"'{key}'$"):
+                model_from_json_dict(broken)
+
+
+def test_model_json_names_an_unknown_spec_key():
+    x, y, _ = _three_blobs(seed=8)
+    for spec in ALL_SPECS:
+        payload = train_arrays(spec, x, y).to_json_dict()
+        payload["spec"] = {**payload["spec"], "depth": 3}
+        with pytest.raises(ValueError, match=f"^{payload['kind']} model: unknown spec key "
+                                             "'depth'$"):
+            model_from_json_dict(payload)
+
+
 @pytest.mark.parametrize("field, build", [
     ("seed", lambda: MlpSpec(seed=-1)),
     ("seed", lambda: BaggedTreesSpec(seed=-1)),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from skelhar import FineKnnSpec, train_arrays
-from skelhar.classifiers import FineKnnModel
+from skelhar.classifiers import FineKnnModel, model_from_json_dict
 from oracles import exhaustive_knn
 
 
@@ -86,3 +86,12 @@ def test_serialization_round_trip():
     again = FineKnnModel.from_json_dict(model.to_json_dict())
     queries = rng.normal(size=(10, 3))
     assert np.array_equal(model.predict(queries), again.predict(queries))
+
+
+def test_model_json_rejects_labels_that_do_not_match_rows():
+    model = train_arrays(FineKnnSpec(), np.eye(2), np.array([1, 2]))
+    payload = model.to_json_dict()
+    payload["train_y"] = [1, 2, 1]
+    with pytest.raises(ValueError, match="^fine_knn model: train_y has 3 labels for 2 "
+                                         "train_x rows$"):
+        model_from_json_dict(payload)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -98,6 +99,26 @@ class TestSynth:
                          threads)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# sha256 of `synth --participants 2 --seed 0` and of its three `extract` files,
+# as the one-"%.9g"-format-per-row writer wrote them
+_WRITTEN_SHA256 = {
+    "dataset.csv": "07f7cbd903d0418f3af8aafded7f69bb59a65ba8d496a7782a9c5efbba035498",
+    "coordinates.csv": "49d206dc430faf83bfb5835a54eaa2a189ad0e83c24467e6e265c8f0ecb85259",
+    "velocity.csv": "4b5b48b4269b66df9a7f35031131f854a1a84c1ed1bf5a46cf677c5132a0a3aa",
+    "acceleration.csv": "82ab70096b4fa8ceead6aba9496beaeab068c914c4daf202108fa5598065fc72",
+}
+
+
+def test_synth_and_extract_write_the_recorded_bytes(tmp_path):
+    dataset = tmp_path / "dataset.csv"
+    _run_skelhar(["synth", "--participants", "2", "--seed", "0", "-o", str(dataset)], "1")
+    for modality in ("coordinates", "velocity", "acceleration"):
+        _run_skelhar(["extract", str(dataset), "--modality", modality,
+                      "-o", str(tmp_path / f"{modality}.csv")], "1")
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in _WRITTEN_SHA256} == _WRITTEN_SHA256
 
 
 class TestExtract:

@@ -1,5 +1,8 @@
 import math
+import os
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import skelhar.dataset
 from skelhar import (
+    ActivityClass,
+    ActivitySequence,
     DatasetFormatError,
     DatasetManifest,
     JointId,
@@ -20,9 +25,15 @@ from skelhar import (
     write_dataset,
 )
 from skelhar.classifiers import HyperparameterError
-from skelhar.dataset import _generate_sequence, _quantize_sig9, csv_columns
+from skelhar.dataset import _generate_sequence, _quantize_sig9, csv_columns, format_sig9
 from conftest import make_sequence
-from oracles import per_frame_class_template, per_frame_sequence, sig9_by_text
+from oracles import (
+    format_sig9_by_text,
+    per_frame_class_template,
+    per_frame_sequence,
+    read_dataset_by_lines,
+    sig9_by_text,
+)
 
 
 def manifests_equal(a: DatasetManifest, b: DatasetManifest) -> bool:
@@ -189,6 +200,197 @@ class TestReadDataset:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match="contiguous"):
             read_dataset(path)
+
+
+def _outcome(read, path):
+    """A reader's manifest, or the (message, line) of the DatasetFormatError it raised."""
+    try:
+        return read(path)
+    except DatasetFormatError as exc:
+        return str(exc), exc.line
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, DatasetManifest) and isinstance(b, DatasetManifest):
+        return manifests_equal(a, b)
+    return a == b
+
+
+def _edit_field(lines, line_no, column, value):
+    lines = list(lines)
+    fields = lines[line_no - 1].split(",")
+    fields[column] = value
+    lines[line_no - 1] = ",".join(fields)
+    return lines
+
+
+def _with_head_x(manifest, frame, value):
+    """manifest's only sequence with Head_x of one frame set to value."""
+    (seq,) = manifest.sequences
+    frames = seq.frames.copy()
+    frames[frame, JointId.Head, 0] = value
+    return DatasetManifest((ActivitySequence(seq.participant_id, seq.activity, frames,
+                                             seq.frame_index),), Synthetic(0))
+
+
+class TestReaderInputLanguage:
+    """The block reader's input language. The CASES keep the outcome that the
+    line-at-a-time reader gave them, recorded from it: the same manifest, or
+    the same message and line."""
+
+    BASE = DatasetManifest((ActivitySequence(1, ActivityClass(1),
+                                             _quantize_sig9(make_sequence(51).frames),
+                                             np.arange(51)),), Synthetic(0))
+
+    @pytest.fixture(scope="class")
+    def lines(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("base") / "base.csv"
+        write_dataset(self.BASE, path)
+        return path.read_text().split("\n")[:-1]
+
+    CASES = {
+        "crlf": (lambda ls: "\r\n".join(ls) + "\r\n", BASE),
+        "blank line mid-file": (lambda ls: "\n".join(ls[:20] + [""] + ls[20:]) + "\n", BASE),
+        "no final newline": (lambda ls: "\n".join(ls), BASE),
+        "padded coordinate": (lambda ls: "\n".join(_edit_field(ls, 3, 3, " 0.5 ")) + "\n",
+                              _with_head_x(BASE, 1, 0.5)),
+        "underscore digits": (lambda ls: "\n".join(_edit_field(ls, 3, 3, "1_5")) + "\n",
+                              _with_head_x(BASE, 1, 15.0)),
+        "non-ascii digits": (lambda ls: "\n".join(_edit_field(ls, 4, 3, "\u0661.\u0665")) + "\n",
+                             _with_head_x(BASE, 2, 1.5)),
+        "fullwidth digits": (lambda ls: "\n".join(_edit_field(ls, 4, 3, "\uff13")) + "\n",
+                             _with_head_x(BASE, 2, 3.0)),
+        "nan coordinate": (lambda ls: "\n".join(_edit_field(ls, 3, 3, "nan")) + "\n",
+                           ("line 3: sequence (participant=1, activity=1): "
+                            "non-finite coordinate at joint(s) Head", 3)),
+        "inf coordinate": (lambda ls: "\n".join(_edit_field(ls, 3, 3, "inf")) + "\n",
+                           ("line 3: sequence (participant=1, activity=1): "
+                            "non-finite coordinate at joint(s) Head", 3)),
+        "bom header": (lambda ls: "\ufeff" + "\n".join(ls) + "\n",
+                       ("line 1: unknown column '\\ufeffparticipant' where 'participant' "
+                        "was expected", 1)),
+        "whitespace-only line": (lambda ls: "\n".join(ls[:20] + ["   "] + ls[20:]) + "\n",
+                                 ("line 21: row has 1 fields, expected 87", 21)),
+        "frame 0.0": (lambda ls: "\n".join(_edit_field(ls, 2, 2, "0.0")) + "\n",
+                      ("line 2: malformed row key: invalid literal for int() with base 10: "
+                       "'0.0'", 2)),
+        "keys only": (lambda ls: "\n".join(ls[:9] + ["1,1,8,"] + ls[10:]) + "\n",
+                      ("line 10: row has 4 fields, expected 87", 10)),
+        "an extra column on every row": (lambda ls: "\n".join([ls[0]] + [l + ",0" for l in ls[1:]])
+                                         + "\n", ("line 2: row has 88 fields, expected 87", 2)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_outcome_is_the_line_readers(self, tmp_path, lines, case):
+        edit, expected = self.CASES[case]
+        path = tmp_path / "case.csv"
+        path.write_bytes(edit(lines).encode("utf-8"))
+        assert _same_outcome(_outcome(read_dataset, path), expected)
+
+    @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                           "\u2028", "\u2029"])
+    def test_only_lf_and_crlf_end_a_line(self, tmp_path, lines, separator):
+        # str.splitlines also breaks at these; here they are row text
+        path = tmp_path / "joined.csv"
+        text = "\n".join(lines[:5]) + "\n" + lines[5] + separator + "\n".join(lines[6:]) + "\n"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_dataset, path) == ("line 6: row has 173 fields, expected 87", 6)
+        path.write_bytes(("\n".join(lines[:20] + [separator] + lines[20:]) + "\n").encode())
+        assert _outcome(read_dataset, path) == ("line 21: row has 1 fields, expected 87", 21)
+
+    def test_cr_alone_ends_no_line(self, tmp_path, lines):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(("\n".join(lines[:6]) + "\r" + "\n".join(lines[6:]) + "\n").encode())
+        assert _outcome(read_dataset, path) == ("line 6: row has 173 fields, expected 87", 6)
+        # two rows' coordinates on one line, and a row with none: as many rows as lines
+        two = lines[3] + "\r" + lines[4].split(",", 3)[3]
+        path.write_bytes(("\n".join(lines[:3] + [two, "1,1,3,"] + lines[5:]) + "\n").encode())
+        assert _outcome(read_dataset, path) == ("line 4: row has 170 fields, expected 87", 4)
+        path.write_bytes(("\r".join(lines) + "\r").encode())  # one line: 52 rows' fields
+        assert _outcome(read_dataset, path) == (
+            f"line 1: header has {87 + 51 * 86} columns, expected 87", 1)
+
+    def test_invalid_utf8_is_located(self, tmp_path, lines):
+        path = tmp_path / "latin1.csv"
+        data = ("\n".join(_edit_field(lines, 30, 5, "0.5\xe9")) + "\n").encode("latin-1")
+        path.write_bytes(data)
+        assert _outcome(read_dataset, path) == ("line 30: not UTF-8: invalid continuation byte", 30)
+        path.write_bytes(b"\xff" + data)
+        assert _outcome(read_dataset, path) == ("line 1: not UTF-8: invalid start byte", 1)
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        manifest = generate_synthetic(SynthSpec(n_participants=1, frames_per_sequence=51))
+        path, fifo = tmp_path / "one.csv", tmp_path / "fifo"
+        write_dataset(manifest, path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+        writer.start()
+        try:
+            again = read_dataset(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert manifests_equal(manifest, again)
+
+    def test_memory_does_not_hold_the_text(self, tmp_path):
+        manifest = generate_synthetic(SynthSpec(n_participants=2))
+        path = tmp_path / "two.csv"
+        write_dataset(manifest, path)
+        tracemalloc.start()
+        try:
+            read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the coordinates alone are 0.7x the file; the text and its lines were 1.8x more
+        assert peak < 1.5 * path.stat().st_size
+
+
+_MUTATION_TOKENS = ["", " ", "0.5", " 0.5 ", "1_5", "\u0663", "nan", "inf", "-0", "1e400",
+                    "x", "1,2", "\v", "\f", "\x1c", "\x1f", "\x85", "\u2028", "\r", "\r\n",
+                    "\n", "\t1", "-1", "99999999999999999999999", "0.0", "2", "+3",
+                    "\x1c1", "1\x1f", "1\r2", "1\x00"]
+
+
+class TestBlockReaderOracle:
+    """read_dataset equals the one-loop line reader on mutated synthetic files."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        manifest = generate_synthetic(SynthSpec(n_participants=1, frames_per_sequence=51))
+        rows = [",".join(csv_columns())]
+        for seq in manifest.sequences:
+            coords = format_sig9_by_text(seq.frames.reshape(len(seq), -1))
+            rows += [f"{seq.participant_id},{seq.activity.label},{i},{c}"
+                     for i, c in enumerate(coords)]
+        return rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_line_reader(self, tmp_path_factory, lines, data):
+        lines = list(lines)
+        for _ in range(data.draw(st.integers(0, 4))):
+            row = data.draw(st.integers(0, len(lines) - 1))
+            action = data.draw(st.sampled_from(["field", "insert", "move", "drop"]))
+            if action == "field":
+                fields = lines[row].split(",")
+                fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+                    st.sampled_from(_MUTATION_TOKENS))
+                lines[row] = ",".join(fields)
+            elif action == "insert":
+                lines.insert(row, data.draw(st.sampled_from(_MUTATION_TOKENS)))
+            elif action == "move":
+                lines.insert(data.draw(st.integers(1, len(lines) - 1)), lines.pop(row))
+            else:
+                lines.pop(row)
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = end.join(lines) + data.draw(st.sampled_from([end, ""]))
+        path = tmp_path_factory.mktemp("mutated") / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        block_bytes = data.draw(st.sampled_from([1, 3000, 1 << 16]))
+        with mock.patch.object(skelhar.dataset, "_READ_BYTES", block_bytes):
+            got = _outcome(read_dataset, path)
+        assert _same_outcome(got, _outcome(read_dataset_by_lines, path))
 
 
 class TestGenerateSynthetic:
@@ -376,6 +578,58 @@ class TestQuantizeSig9:
     @given(st.integers(0, 2**32 - 1))
     def test_matches_text_rounding_on_normal_draws(self, seed):
         self._assert_matches_text(np.random.default_rng(seed).normal(2.0, 1.0, (60, 28, 3)))
+
+
+_FORMAT_EDGES = np.concatenate([
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+     9.9999999996, 99999.9999996, 0.000999999999, 999999999.5, 99999999.95, 0.5, 100.0],
+    np.nextafter(np.repeat([1e-5, 1e-4, 1e8, 1e9], 3), [0.0, math.inf, math.nan] * 4),
+    _POWERS_OF_TEN,
+])
+
+
+class TestFormatSig9:
+    """format_sig9 writes the bytes of one "%.9g" % row per row."""
+
+    @staticmethod
+    def _assert_matches_text(rows):
+        rows = np.asarray(rows, dtype=np.float64)
+        assert list(format_sig9(rows)) == format_sig9_by_text(rows)
+
+    def test_edge_values_as_a_row_and_a_column(self):
+        values = np.concatenate([_FORMAT_EDGES, -_FORMAT_EDGES])
+        self._assert_matches_text(values[None, :])
+        self._assert_matches_text(values[:, None])
+
+    def test_nine_digit_ties_at_every_scale(self):
+        digits = np.random.default_rng(1).integers(10**8, 10**9, 60)
+        for k in range(-25, 26):
+            ties = (digits + 0.5) / 10.0**k if k >= 0 else (digits + 0.5) * 10.0**-k
+            self._assert_matches_text(np.stack([ties, np.nextafter(ties, 0.0),
+                                                np.nextafter(ties, math.inf), -ties]))
+
+    BLOCK = skelhar.dataset._SIG9_BLOCK
+
+    @pytest.mark.parametrize("shape", [(BLOCK - 1, 1), (BLOCK, 1), (BLOCK + 1, 1),
+                                       (BLOCK // 84, 84), (BLOCK // 84 + 1, 84),
+                                       (2 * (BLOCK // 84) + 1, 84), (2, BLOCK + 1), (0, 3)])
+    def test_blocks_of_every_size(self, shape):
+        rows = np.random.default_rng(shape[0]).normal(0.0, 2.0, shape)
+        rows[:, ::3] = np.round(rows[:, ::3], 2)
+        self._assert_matches_text(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.sampled_from(_FORMAT_EDGES.tolist())
+        | st.builds(lambda sign, digits, half, k: sign * (digits + half) / 10.0**k,
+                    st.sampled_from([1.0, -1.0]), st.integers(10**8, 10**9 - 1),
+                    st.sampled_from([0.0, 0.5]), st.integers(-30, 30))
+        | st.builds(lambda m, k: m * 10.0**k, st.integers(-999, 999), st.integers(-7, 10)),
+        min_size=cols, max_size=8 * cols).map(
+            lambda v: np.array(v[:len(v) // cols * cols]).reshape(-1, cols))))
+    def test_matches_text(self, rows):
+        self._assert_matches_text(rows)
 
 
 class TestDepthPairFixture:
