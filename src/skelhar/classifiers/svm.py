@@ -15,17 +15,36 @@ below the tolerance, up to rounding in G. The bias is -rho, with rho the
 mean of y_t G_t over the free multipliers, or the midpoint of the two
 extremes when none is free.
 
+The one-vs-one machines of a fit take their SMO steps in lockstep: one
+round of numpy calls advances every live machine of a group by one step,
+on state arrays with a row per machine, and a machine leaves its group
+once it meets the tolerance. Each machine's arithmetic is exactly that of
+a solver that runs it alone (tests/oracles.py holds one), so its alphas
+and bias are the same bits; only the number of numpy calls falls, which
+is what a step of a machine of a few hundred rows costs. Machines are
+grouped in class-pair order, and a group's Grams stay within
+`_GROUP_BYTES` (a single machine may exceed it): at 2 participants all 36
+machines share one group, at 16 a group holds four. A step that moves
+neither multiplier of its pair leaves the machine where it was, so it
+would repeat until the step cap; it raises a RuntimeError at once that
+names the machine's labels, the remaining gap and the tolerance. That
+happens when the tolerance is below what rounding in G lets the solver
+reach.
+
 Multiclass uses one-vs-one voting over all label pairs. Features are
 z-scored inside the model (fitted on the training set) to keep the
 polynomial kernel numerically tame. A machine stores every row of its two
 classes, but scores a query only against its support vectors (a > 0). A
 row of class a is therefore stored by every machine that pairs a;
 `CubicSvmModel.to_json_dict` gives equal rows one shared list, so the
-bundle writer formats each of them once, and model.json is unchanged.
+bundle writer formats each of them once, and model.json is unchanged. A
+loaded model must hold one valid machine per class pair, in class_set
+order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,89 +57,181 @@ _TAU = 1e-12
 # the second-order rule converges in finitely many steps; the cap only
 # guards against genuine pathologies
 _MAX_STEPS = 1_000_000
+# Gram bytes that one lockstep group may hold: every machine of a
+# 2-participant fit (about 8 MB) shares one group, and at 16 participants
+# (about 14 MB a pair) a group holds four machines; measured there, larger
+# groups save little SMO time, and groups of one cost 2x
+_GROUP_BYTES = 64 << 20
+# additive set masks: _UP.take(member) is 0 for a member, -inf otherwise
+_UP = np.array([-np.inf, 0.0])
+_LOW = np.array([np.inf, 0.0])
 
 
-def cubic_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """K(x, y) = (1 + x.y)^3, evaluated blockwise."""
-    k = 1.0 + a @ b.T
+def cubic_kernel(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """K(x, y) = (1 + x.y)^3, evaluated blockwise; written to `out` when given."""
+    k = a @ b.T
+    k += 1.0
     # two multiplies: ** 3 goes through libm pow for every element
-    return k * k * k
+    out = np.multiply(k, k, out=out)
+    out *= k
+    return out
 
 
-def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float) -> tuple[np.ndarray, float]:
-    """Solve the dual on a precomputed Gram matrix; returns (alphas, bias).
-
-    The bias convention is f(x) = sum_i alpha_i y_i K(x_i, x) + b.
-    """
-    n = len(y)
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # G = Q alpha - e, updated after every step
-    diag = np.diag(k).copy()
-    pos = y > 0
-    # I_up: multipliers that may grow along y; I_low: that may shrink
-    up = pos.copy()
-    low = ~pos
-
-    for _ in range(_MAX_STEPS):
-        minus_yg = -y * grad
-        masked = np.where(up, minus_yg, -np.inf)
-        i = int(np.argmax(masked))
-        g_max = masked[i]
-        g_min = np.min(minus_yg, where=low, initial=np.inf)
-        if g_max - g_min < tol:
-            break
-        gain = g_max - minus_yg
-        curve = diag[i] + diag - 2.0 * k[i]
-        curve[curve <= 0] = _TAU
-        j = int(np.argmin(np.where(low & (gain > 0), -(gain * gain) / curve, np.inf)))
-
-        old_i, old_j = float(alpha[i]), float(alpha[j])
-        quad = curve[j]
-        # LIBSVM's clipping: each bound is restored from the pair's invariant
-        # (diff or total), so both multipliers land in [0, C] exactly
-        if y[i] != y[j]:
-            delta = (-grad[i] - grad[j]) / quad
-            diff = old_i - old_j
-            a_i, a_j = old_i + delta, old_j + delta
-            if diff > 0:
-                if a_j < 0:
-                    a_j, a_i = 0.0, diff
-                if a_i > c:
-                    a_i, a_j = c, c - diff
-            else:
-                if a_i < 0:
-                    a_i, a_j = 0.0, -diff
-                if a_j > c:
-                    a_j, a_i = c, c + diff
+def _clip_pair(old_i: float, old_j: float, a_i: float, a_j: float, same: bool,
+               c: float) -> tuple[float, float]:
+    """LIBSVM's clipping of an update that left the box: each bound is
+    restored from the pair's invariant (diff or total), so both multipliers
+    land in [0, C] exactly."""
+    if not same:
+        diff = old_i - old_j
+        if diff > 0:
+            if a_j < 0:
+                a_j, a_i = 0.0, diff
+            if a_i > c:
+                a_i, a_j = c, c - diff
         else:
-            delta = (grad[i] - grad[j]) / quad
-            total = old_i + old_j
-            a_i, a_j = old_i - delta, old_j + delta
-            if total > c:
-                if a_i > c:
-                    a_i, a_j = c, total - c
-                if a_j > c:
-                    a_j, a_i = c, total - c
-            else:
-                if a_j < 0:
-                    a_j, a_i = 0.0, total
-                if a_i < 0:
-                    a_i, a_j = 0.0, total
-
-        grad += y * (k[i] * (y[i] * (a_i - old_i)) + k[j] * (y[j] * (a_j - old_j)))
-        alpha[i], alpha[j] = a_i, a_j
-        for t in (i, j):
-            up[t] = alpha[t] < c if pos[t] else alpha[t] > 0
-            low[t] = alpha[t] > 0 if pos[t] else alpha[t] < c
+            if a_i < 0:
+                a_i, a_j = 0.0, -diff
+            if a_j > c:
+                a_j, a_i = c, c + diff
     else:
-        raise RuntimeError(f"SMO did not converge within {_MAX_STEPS} steps")
+        total = old_i + old_j
+        if total > c:
+            if a_i > c:
+                a_i, a_j = c, total - c
+            if a_j > c:
+                a_j, a_i = c, total - c
+        else:
+            if a_j < 0:
+                a_j, a_i = 0.0, total
+            if a_i < 0:
+                a_i, a_j = 0.0, total
+    return a_i, a_j
 
+
+def _lockstep_smo(pairs: list[tuple[int, int]], xs: list[np.ndarray], ys: list[np.ndarray],
+                  c: float, tol: float) -> list[tuple[np.ndarray, float]]:
+    """Solve the dual of every machine of a group; returns (alphas, bias)
+    per machine, with f(x) = sum_i alpha_i y_i K(x_i, x) + b.
+
+    Row r of each state array belongs to one live machine, padded to the
+    longest pair; padding is never in the up or down set. Live machines
+    fill the first rows: when a machine converges, the last live row moves
+    into its row.
+    """
+    sizes = np.array([len(labels) for labels in ys])
+    count, width = len(ys), int(sizes.max())
+    ends = np.cumsum(sizes * sizes)
+    starts = ends - sizes * sizes
+    # every Gram row-major in one buffer; rows_at[p] is flat[p:p + width], so
+    # row t of machine r is rows_at[starts[r] + t * sizes[r]], and what it
+    # reads past the row (the next Gram or the trailing zeros) fills padding
+    flat = np.zeros(ends[-1] + width)
+    rows_at = np.lib.stride_tricks.sliding_window_view(flat, width)
+    diag = np.zeros((count, width))
+    y = np.zeros((count, width))
+    for r, (x, labels) in enumerate(zip(xs, ys)):
+        n = len(labels)
+        gram = cubic_kernel(x, x, out=flat[starts[r]:ends[r]].reshape(n, n))
+        diag[r, :n] = gram.diagonal()
+        y[r, :n] = labels
+    minus_y = -y
+    pos = y > 0
+    alpha = np.zeros((count, width))
+    grad = -np.ones((count, width))  # G = Q alpha - e, updated after every step
+    # I_up (multipliers that may grow along y) and I_low (that may shrink)
+    # as additive masks: 0 inside, -inf and +inf outside
+    up = _UP.take(pos)
+    low = _LOW.take(y < 0)
+    machine = np.arange(count)
+    row_base = np.arange(count) * width
+    state = (diag, y, minus_y, pos, alpha, grad, up, low, machine, starts, sizes)
+    results: list = [None] * count
+    live, steps, viewed = count, 0, 0
+    while live:
+        if steps == _MAX_STEPS:
+            a, b = pairs[machine[:live].min()]
+            raise RuntimeError(f"SMO did not converge within {_MAX_STEPS} steps "
+                               f"on the machine for labels {a} vs {b}")
+        if viewed != live:
+            base, d, y_l, my_l, g_l, up_l, low_l, st, sz = (
+                s[:live] for s in (row_base, diag, y, minus_y, grad, up, low, starts, sizes))
+            viewed = live
+        minus_yg = my_l * g_l
+        top = minus_yg + up_l
+        i = top.argmax(axis=1)
+        fi = base + i
+        g_max = top.take(fi)
+        bottom = minus_yg + low_l
+        gap = g_max - np.minimum.reduce(bottom, axis=1)
+        if np.minimum.reduce(gap) < tol:
+            for r in np.flatnonzero(gap < tol)[::-1]:
+                results[machine[r]] = _finish(alpha[r], grad[r], y[r], up[r], low[r],
+                                              sizes[r], c)
+                live -= 1
+                for s in state:
+                    s[r] = s[live]
+            continue
+        steps += 1
+
+        k_i = rows_at[st + i * sz]
+        curve = d.take(fi)[:, None] + d - 2.0 * k_i
+        np.putmask(curve, curve <= 0, _TAU)
+        # j maximises b^2/a over I_low, first of equal values; outside I_low
+        # the gain b is -inf
+        gain = g_max[:, None] - bottom
+        score = gain * gain / curve
+        np.putmask(score, gain <= 0, -np.inf)
+        j = score.argmax(axis=1)
+        fj = base + j
+        k_j = rows_at[st + j * sz]
+
+        f = np.concatenate((fi, fj))
+        old, g, y_ij = alpha.take(f), grad.take(f), y.take(f)
+        # -1 for a pair of unequal labels: a_i and a_j then move together
+        sign = y_ij[:live] * y_ij[live:]
+        delta = (sign * g[:live] - g[live:]) / curve.take(fj)
+        new = np.concatenate((old[:live] - sign * delta, old[live:] + delta))
+        if np.minimum.reduce(new) < 0 or np.maximum.reduce(new) > c:
+            for r in np.flatnonzero(((new < 0) | (new > c)).reshape(2, live).any(axis=0)):
+                new[r], new[live + r] = _clip_pair(old[r], old[live + r], new[r],
+                                                   new[live + r], sign[r] > 0, c)
+        step = new - old
+        if not step.all():
+            stuck = ~step.reshape(2, live).any(axis=0)
+            if stuck.any():
+                r = int(np.argmax(stuck))
+                a, b = pairs[machine[r]]
+                raise RuntimeError(
+                    f"SMO stalled on the machine for labels {a} vs {b}: a step moved "
+                    f"neither multiplier with the gap g_max - g_min = {gap[r]:.6g} still "
+                    f"above the tolerance {tol:g}; retry with a larger --svm-tol")
+        y_step = y_ij * step
+        g_l += y_l * (k_i * y_step[:live, None] + k_j * y_step[live:, None])
+        alpha.put(f, new)
+        below_c, above_0 = new < c, new > 0
+        moved_pos = pos.take(f)
+        up.put(f, _UP.take(np.where(moved_pos, below_c, above_0)))
+        low.put(f, _LOW.take(np.where(moved_pos, above_0, below_c)))
+    return results
+
+
+def _finish(alpha: np.ndarray, grad: np.ndarray, y: np.ndarray, up: np.ndarray,
+            low: np.ndarray, n: int, c: float) -> tuple[np.ndarray, float]:
+    """(alphas, bias) of a converged machine from its padded state row. The
+    bias is -rho: the mean of y_t G_t over free multipliers, or else the
+    midpoint of the extremes of -y_t G_t over I_up and I_low."""
+    alpha, grad, y = alpha[:n].copy(), grad[:n], y[:n]
     free = (alpha > 0) & (alpha < c)
     if free.any():
-        rho = float(np.mean(y[free] * grad[free]))
-    else:
-        rho = -(float(g_max) + float(g_min)) / 2.0
-    return alpha, -rho
+        return alpha, -float(np.mean(y[free] * grad[free]))
+    # taken as a per-machine solver takes them, so that even the sign of a
+    # zero extreme is kept
+    minus_yg = -y * grad
+    masked = np.where(up[:n] == 0, minus_yg, -np.inf)
+    g_max = masked[np.argmax(masked)]
+    g_min = np.min(minus_yg, where=low[:n] == 0, initial=np.inf)
+    return alpha, (float(g_max) + float(g_min)) / 2.0
 
 
 @dataclass
@@ -220,7 +331,42 @@ class CubicSvmModel(TrainedModel):
         machines = [BinarySvm(**{f.name: _from_json(cls._json_field(m, f.name))
                                  for f in fields(BinarySvm)})
                     for m in cls._json_field(d, "machines")]
-        return super().from_json_dict(d, machines=machines)
+        model = super().from_json_dict(d, machines=machines)
+        model._check_machines()
+        return model
+
+    def _check_machines(self) -> None:
+        """One machine per class pair, in class_set order, each with rows as
+        wide as `mean`, one +1/-1 label and one multiplier in [0, C] per
+        row, and a finite bias; else a ValueError naming the machine."""
+        labels = [int(a) for a in self.class_set]
+        pairs = [(a, b) for n, a in enumerate(labels) for b in labels[n + 1:]]
+        if len(self.machines) > len(pairs):
+            raise ValueError(f"{self.kind} model: machine {len(pairs)} is beyond the "
+                             f"{len(pairs)} class pairs")
+        for k, (a, b) in enumerate(pairs):
+            if k == len(self.machines):
+                raise ValueError(f"{self.kind} model: machine {k} (labels {a} vs {b}) "
+                                 f"is missing")
+            m = self.machines[k]
+            problem = None
+            if (m.pos_label, m.neg_label) != (a, b):
+                problem = f"pairs labels {m.pos_label!r} vs {m.neg_label!r}, expected {a} vs {b}"
+            elif np.ndim(m.train_x) != 2 or np.shape(m.train_x)[1] != len(self.mean):
+                problem = (f"has train_x of shape {np.shape(m.train_x)}, expected rows of "
+                           f"{len(self.mean)} features")
+            elif not np.shape(m.train_y) == np.shape(m.alphas) == (len(m.train_x),):
+                problem = (f"has {len(m.train_x)} train_x rows, train_y of shape "
+                           f"{np.shape(m.train_y)} and alphas of shape {np.shape(m.alphas)}")
+            elif not np.isin(m.train_y, (-1.0, 1.0)).all():
+                problem = "has a train_y label other than +1 and -1"
+            elif not ((m.alphas >= 0) & (m.alphas <= self.spec.c)).all():
+                problem = f"has an alpha outside [0, C = {self.spec.c}]"
+            elif (not isinstance(m.bias, (int, float)) or isinstance(m.bias, bool)
+                  or not math.isfinite(m.bias)):
+                problem = f"has bias {m.bias!r}, expected a finite number"
+            if problem:
+                raise ValueError(f"{self.kind} model: machine {k} {problem}")
 
 
 def train_cubic_svm(spec: CubicSvmSpec, x: np.ndarray, y: np.ndarray) -> CubicSvmModel:
@@ -230,13 +376,26 @@ def train_cubic_svm(spec: CubicSvmSpec, x: np.ndarray, y: np.ndarray) -> CubicSv
     scale = np.where(std > 0, std, 1.0)
     z = (x - mean) / scale
 
-    machines = []
+    # machines in class-pair order, grouped so that a group's Grams stay
+    # within _GROUP_BYTES (a lone machine may exceed it)
+    counts = dict(zip(*np.unique(y, return_counts=True)))
+    groups: list[list[tuple[int, int]]] = []
+    held = _GROUP_BYTES
     for i, a in enumerate(class_set):
         for b in class_set[i + 1:]:
-            mask = (y == a) | (y == b)
-            xs = z[mask]
-            ys = np.where(y[mask] == a, 1.0, -1.0)
-            gram = cubic_kernel(xs, xs)
-            alphas, bias = _smo(gram, ys, spec.c, spec.tolerance)
-            machines.append(BinarySvm(int(a), int(b), xs, ys, alphas, bias))
+            gram_bytes = 8 * (counts[a] + counts[b]) ** 2
+            if held + gram_bytes > _GROUP_BYTES:
+                groups.append([])
+                held = 0
+            groups[-1].append((int(a), int(b)))
+            held += gram_bytes
+
+    machines = []
+    for group in groups:
+        masks = [(y == a) | (y == b) for a, b in group]
+        xs = [z[mask] for mask in masks]
+        ys = [np.where(y[mask] == a, 1.0, -1.0) for mask, (a, _) in zip(masks, group)]
+        solved = _lockstep_smo(group, xs, ys, spec.c, spec.tolerance)
+        machines += [BinarySvm(a, b, xs_, ys_, alphas, bias)
+                     for (a, b), xs_, ys_, (alphas, bias) in zip(group, xs, ys, solved)]
     return CubicSvmModel(spec, machines, mean, scale, class_set)

@@ -299,6 +299,84 @@ def per_step_train_weights(spec, x, y):
 
 
 # ---------------------------------------------------------------------------
+# SMO, one machine at a time
+# ---------------------------------------------------------------------------
+
+def per_machine_smo(k, y, c, tol, max_steps=1_000_000):
+    """(alphas, bias) of one machine's dual on its Gram matrix k: one
+    working pair per step with scalar updates, as LIBSVM takes it."""
+    n = len(y)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # G = Q alpha - e, updated after every step
+    diag = np.diag(k).copy()
+    pos = y > 0
+    # I_up: multipliers that may grow along y; I_low: that may shrink
+    up = pos.copy()
+    low = ~pos
+
+    for _ in range(max_steps):
+        minus_yg = -y * grad
+        masked = np.where(up, minus_yg, -np.inf)
+        i = int(np.argmax(masked))
+        g_max = masked[i]
+        g_min = np.min(minus_yg, where=low, initial=np.inf)
+        if g_max - g_min < tol:
+            break
+        gain = g_max - minus_yg
+        curve = diag[i] + diag - 2.0 * k[i]
+        curve[curve <= 0] = 1e-12
+        j = int(np.argmin(np.where(low & (gain > 0), -(gain * gain) / curve, np.inf)))
+
+        old_i, old_j = float(alpha[i]), float(alpha[j])
+        quad = curve[j]
+        # LIBSVM's clipping: each bound is restored from the pair's invariant
+        # (diff or total), so both multipliers land in [0, C] exactly
+        if y[i] != y[j]:
+            delta = (-grad[i] - grad[j]) / quad
+            diff = old_i - old_j
+            a_i, a_j = old_i + delta, old_j + delta
+            if diff > 0:
+                if a_j < 0:
+                    a_j, a_i = 0.0, diff
+                if a_i > c:
+                    a_i, a_j = c, c - diff
+            else:
+                if a_i < 0:
+                    a_i, a_j = 0.0, -diff
+                if a_j > c:
+                    a_j, a_i = c, c + diff
+        else:
+            delta = (grad[i] - grad[j]) / quad
+            total = old_i + old_j
+            a_i, a_j = old_i - delta, old_j + delta
+            if total > c:
+                if a_i > c:
+                    a_i, a_j = c, total - c
+                if a_j > c:
+                    a_j, a_i = c, total - c
+            else:
+                if a_j < 0:
+                    a_j, a_i = 0.0, total
+                if a_i < 0:
+                    a_i, a_j = 0.0, total
+
+        grad += y * (k[i] * (y[i] * (a_i - old_i)) + k[j] * (y[j] * (a_j - old_j)))
+        alpha[i], alpha[j] = a_i, a_j
+        for t in (i, j):
+            up[t] = alpha[t] < c if pos[t] else alpha[t] > 0
+            low[t] = alpha[t] > 0 if pos[t] else alpha[t] < c
+    else:
+        raise RuntimeError(f"SMO did not converge within {max_steps} steps")
+
+    free = (alpha > 0) & (alpha < c)
+    if free.any():
+        rho = float(np.mean(y[free] * grad[free]))
+    else:
+        rho = -(float(g_max) + float(g_min)) / 2.0
+    return alpha, -rho
+
+
+# ---------------------------------------------------------------------------
 # Synthetic generation, one frame at a time
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,9 @@
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skelhar import (
     CubicSvmSpec,
@@ -10,7 +14,8 @@ from skelhar import (
     generate_synthetic,
     train_arrays,
 )
-from skelhar.classifiers import BinarySvm, CubicSvmModel, cubic_kernel
+from skelhar.classifiers import BinarySvm, CubicSvmModel, cubic_kernel, svm
+from oracles import per_machine_smo
 
 
 def _blobs(rng, centers, n=40, spread=0.4):
@@ -172,3 +177,126 @@ def test_hyperparameter_validation():
         CubicSvmSpec(c=0.0)
     with pytest.raises(ValueError):
         CubicSvmSpec(tolerance=-1.0)
+
+
+@st.composite
+def svm_problems(draw):
+    """Unequal classes (so lockstep rows carry padding), some tight and some
+    overlapping (so machines need very different step counts), optional
+    duplicated rows (flat curvature) and a C small enough to clip."""
+    sizes = draw(st.lists(st.integers(2, 14), min_size=2, max_size=4))
+    dims = draw(st.integers(1, 3))
+    spreads = draw(st.lists(st.sampled_from([0.05, 0.5, 3.0]), min_size=len(sizes),
+                            max_size=len(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.concatenate([rng.normal(rng.normal(0.0, 2.0, dims), spread, size=(n, dims))
+                        for n, spread in zip(sizes, spreads)])
+    y = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    repeat = rng.integers(0, len(y), draw(st.integers(0, 5)))
+    x, y = np.concatenate([x, x[repeat]]), np.concatenate([y, y[repeat]])
+    return x, y, draw(st.sampled_from([0.02, 1.0, 50.0]))
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _assert_machines_equal_the_oracle(model):
+    spec = model.spec
+    for m in model.machines:
+        alphas, bias = per_machine_smo(cubic_kernel(m.train_x, m.train_x), m.train_y,
+                                       spec.c, spec.tolerance)
+        assert _bits(m.alphas) == _bits(alphas), (m.pos_label, m.neg_label)
+        assert _bits(m.bias) == _bits(bias), (m.pos_label, m.neg_label)
+
+
+@pytest.mark.parametrize("group_bytes", [None, 1, 2 * 8 * 30**2],
+                         ids=["default-groups", "groups-of-1", "groups-of-about-2"])
+@settings(max_examples=40, deadline=None)
+@given(problem=svm_problems())
+def test_lockstep_machines_equal_the_per_machine_oracle_bit_for_bit(group_bytes, problem):
+    x, y, c = problem
+    budget = svm._GROUP_BYTES if group_bytes is None else group_bytes
+    with mock.patch.object(svm, "_GROUP_BYTES", budget):
+        model = train_arrays(CubicSvmSpec(c=c), x, y)
+    _assert_machines_equal_the_oracle(model)
+
+
+def test_lockstep_matches_the_oracle_on_synthetic_coordinates():
+    matrix = build_feature_matrix(generate_synthetic(SynthSpec(n_participants=1, seed=4)),
+                                  Modality.COORDINATES, JointSubset.c28(), 3)
+    _assert_machines_equal_the_oracle(train_arrays(CubicSvmSpec(), matrix.rows, matrix.labels))
+
+
+def _three_blobs(seed):
+    # 60 rows, 3 classes
+    return _blobs(np.random.default_rng(seed), [(-2.0, 0.0), (2.0, 0.0), (0.0, 3.0)], n=20)
+
+
+def test_a_step_that_moves_no_multiplier_fails_at_once_naming_the_pair():
+    # at tolerance 1e-16 machine 2 vs 3 reaches a fixed point: the step
+    # moves neither multiplier, so it would repeat until the step cap
+    x, y = _three_blobs(2)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"labels 2 vs 3.*1e-16.*--svm-tol") as err:
+        train_arrays(CubicSvmSpec(tolerance=1e-16), x, y)
+    assert time.perf_counter() - start < 2.0
+    assert "g_max - g_min" in str(err.value)
+
+
+def test_the_step_cap_still_stops_a_machine_that_keeps_moving(monkeypatch):
+    # at tolerance 1e-16 machine 2 vs 3 of this set alternates between two
+    # states, moving both multipliers by one rounding step each time, so only
+    # the cap stops it
+    x, y = _three_blobs(1)
+    monkeypatch.setattr(svm, "_MAX_STEPS", 3000)
+    with pytest.raises(RuntimeError, match=r"within 3000 steps on the machine for labels 2 vs 3"):
+        train_arrays(CubicSvmSpec(tolerance=1e-16), x, y)
+    # the same cap is no obstacle at the default tolerance
+    train_arrays(CubicSvmSpec(), x, y)
+
+
+def _three_class_dict():
+    rng = np.random.default_rng(5)
+    x, y = _blobs(rng, [(-2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)], n=6)
+    return train_arrays(CubicSvmSpec(), x, y).to_json_dict()
+
+
+def _set(path, value):
+    def mutate(d):
+        *head, last = path
+        target = d
+        for key in head:
+            target = target[key]
+        target[last] = value(target[last]) if callable(value) else value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set(["machines"], []), r"machine 0 \(labels 1 vs 2\) is missing"),
+    (_set(["machines"], lambda ms: ms[:1]), r"machine 1 \(labels 1 vs 3\) is missing"),
+    (_set(["machines"], lambda ms: ms + ms[:1]), r"machine 3 is beyond the 3 class pairs"),
+    (_set(["machines"], lambda ms: [ms[1], ms[0], ms[2]]), r"machine 0 pairs labels 1 vs 3"),
+    (_set(["machines", 2, "pos_label"], 7), r"machine 2 pairs labels 7 vs 3"),
+    (_set(["machines", 1, "train_x"], lambda rows: [r[:1] for r in rows]),
+     r"machine 1 has train_x of shape \(12, 1\)"),
+    (_set(["machines", 0, "alphas"], lambda a: a[:-1]), r"machine 0 has 12 train_x rows"),
+    (_set(["machines", 0, "train_y"], lambda t: t[:-1]), r"machine 0 has 12 train_x rows"),
+    (_set(["machines", 2, "train_y"], lambda t: [2.0] + t[1:]), r"machine 2 has a train_y label"),
+    (_set(["machines", 1, "alphas"], lambda a: [-0.5] + a[1:]), r"machine 1 has an alpha outside"),
+    (_set(["machines", 1, "alphas"], lambda a: [1.5] + a[1:]), r"machine 1 has an alpha outside"),
+    (_set(["machines", 1, "alphas"], lambda a: [float("nan")] + a[1:]),
+     r"machine 1 has an alpha outside"),
+    (_set(["machines", 0, "bias"], float("inf")), r"machine 0 has bias inf"),
+    (_set(["machines", 0, "bias"], "0.5"), r"machine 0 has bias '0.5'"),
+    (_set(["machines", 0, "bias"], True), r"machine 0 has bias True"),
+], ids=["no-machines", "one-of-three", "one-too-many", "out-of-order", "label-outside-class-set",
+        "narrow-train-x", "short-alphas", "short-train-y", "label-not-plus-minus-one",
+        "negative-alpha", "alpha-above-c", "nan-alpha", "infinite-bias", "text-bias",
+        "bool-bias"])
+def test_loading_rejects_a_broken_machine_with_its_index(mutate, message):
+    d = _three_class_dict()
+    CubicSvmModel.from_json_dict(d)  # the untouched dict loads
+    mutate(d)
+    with pytest.raises(ValueError, match=r"^cubic_svm model: " + message):
+        CubicSvmModel.from_json_dict(d)
