@@ -29,7 +29,10 @@ neither multiplier of its pair leaves the machine where it was, so it
 would repeat until the step cap; it raises a RuntimeError at once that
 names the machine's labels, the remaining gap and the tolerance. That
 happens when the tolerance is below what rounding in G lets the solver
-reach.
+reach. Rounding can also leave a machine cycling, each step moving its
+multipliers back and forth by one rounding step; every `_CYCLE_STEPS`
+steps, a machine whose alphas and gradient have the bits they had at the
+last check raises the same kind of error, long before the step cap.
 
 Multiclass uses one-vs-one voting over all label pairs. Features are
 z-scored inside the model (fitted on the training set) to keep the
@@ -57,6 +60,9 @@ _TAU = 1e-12
 # the second-order rule converges in finitely many steps; the cap only
 # guards against genuine pathologies
 _MAX_STEPS = 1_000_000
+# lockstep steps between cycle checks; a power of two, so that a machine
+# cycling with period 2 (or any power of two up to this) is caught
+_CYCLE_STEPS = 1024
 # Gram bytes that one lockstep group may hold: every machine of a
 # 2-participant fit (about 8 MB) shares one group, and at 16 participants
 # (about 14 MB a pair) a group holds four machines; measured there, larger
@@ -148,6 +154,7 @@ def _lockstep_smo(pairs: list[tuple[int, int]], xs: list[np.ndarray], ys: list[n
     state = (diag, y, minus_y, pos, alpha, grad, up, low, machine, starts, sizes)
     results: list = [None] * count
     live, steps, viewed = count, 0, 0
+    checked = None  # bits of the live alpha and grad rows at the last cycle check
     while live:
         if steps == _MAX_STEPS:
             a, b = pairs[machine[:live].min()]
@@ -173,6 +180,22 @@ def _lockstep_smo(pairs: list[tuple[int, int]], xs: list[np.ndarray], ys: list[n
                     s[r] = s[live]
             continue
         steps += 1
+        if steps % _CYCLE_STEPS == 0:
+            # rows move only when live falls, so at an equal shape each row
+            # is the machine it was at the last check; if its state has the
+            # same bits, it repeats that stretch forever
+            state_bits = np.hstack((alpha[:live], grad[:live])).view(np.int64)
+            if checked is not None and checked.shape == state_bits.shape:
+                same = (state_bits == checked).all(axis=1)
+                if same.any():
+                    r = int(np.argmax(same))
+                    a, b = pairs[machine[r]]
+                    raise RuntimeError(
+                        f"SMO cycled on the machine for labels {a} vs {b}: its multipliers "
+                        f"returned to the same values after {_CYCLE_STEPS} steps with the "
+                        f"gap g_max - g_min = {gap[r]:.6g} still above the tolerance "
+                        f"{tol:g}; retry with a larger --svm-tol")
+            checked = state_bits
 
         k_i = rows_at[st + i * sz]
         curve = d.take(fi)[:, None] + d - 2.0 * k_i

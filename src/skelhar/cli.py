@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
+import operator
+import time
 from pathlib import Path
 
 import click
@@ -38,7 +39,6 @@ from .dataset import (
     write_lines,
 )
 from .evaluation import (
-    ExperimentResult,
     PcaConfig,
     PipelineConfig,
     SplitPlan,
@@ -327,51 +327,59 @@ def _grid_axis(values: dict[str, str], key: str) -> list[str]:
     return items
 
 
-def _grid_row(config: PipelineConfig, result: ExperimentResult) -> str:
+def _cell_name(config: PipelineConfig) -> str:
+    """A grid cell's axis values, as its table row starts."""
     flat = config_to_flat(config)
     flat["joints"] = flat["joints"].replace(",", ";")  # keep the CSV 7 columns wide
-    return ",".join([*(flat[key] for key in _GRID_AXES),
-                     f"{result.cv_report.overall_accuracy:.6f}",
-                     f"{result.report.overall_accuracy:.6f}"])
+    return ",".join(flat[key] for key in _GRID_AXES)
+
+
+# an ExperimentResult's (cv, validation) accuracies; the result itself is
+# not kept
+_ACCURACIES = operator.attrgetter("cv_report.overall_accuracy", "report.overall_accuracy")
 
 
 @main.command()
 @click.argument("dataset", type=str)
 @click.option("-o", "--output", "output", required=True, type=str,
               help="destination CSV table path")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="threads that run the grid cells; more were measured "
-                   "slower, since the cells hold the GIL")
+@click.option("--jobs", type=click.IntRange(min=1), hidden=True, expose_value=False,
+              deprecated="It has no effect: the cells run in order on one thread.")
 @_pipeline_options
-def grid(dataset, output, jobs, config_path, **flags):
+def grid(dataset, output, config_path, **flags):
     """Run a cartesian grid of configurations and tabulate accuracies.
 
     The axes --modality, --joints, --dims, --pca, and --classifier accept
     comma-separated value lists; all other parameters are fixed across the
-    grid. Rows appear in declaration order (modality outermost, classifier
-    innermost) regardless of execution order.
+    grid. Cells run in row order (modality outermost, classifier innermost)
+    and each reports on stderr as it finishes; the table is written once
+    every cell has succeeded.
     """
     values = _resolve(config_path, **flags)
-    if jobs < 1:
-        raise click.UsageError("--jobs must be >= 1")
     cells = [build_config({**values, **dict(zip(_GRID_AXES, combo))})
              for combo in itertools.product(*(_grid_axis(values, key) for key in _GRID_AXES))]
 
     try:
         manifest = read_dataset(dataset)
-        matrices, cell_matrices = {}, []
-        for config in cells:
-            # custom subsets share the name "custom", so key on the joints
-            key = (config.modality, config.subset.joints, config.dims)
-            if key not in matrices:
-                matrices[key] = config.feature_matrix(manifest)
-            cell_matrices.append(matrices[key])
+        rows, matrix_key, matrix = [], None, None
+        for n, config in enumerate(cells, 1):
+            name = _cell_name(config)
+            start = time.perf_counter()
+            try:
+                # the axis order makes the cells of one matrix contiguous;
+                # custom subsets share the name "custom", so key on the joints
+                key = (config.modality, config.subset.joints, config.dims)
+                if key != matrix_key:
+                    matrix = None  # drop the last matrix before building the next
+                    matrix, matrix_key = config.feature_matrix(manifest), key
+                cv, validation = _ACCURACIES(run_matrix_experiment(config, matrix))
+            except (ValueError, RuntimeError) as exc:
+                raise click.ClickException(f"cell {n}/{len(cells)} {name}: {exc}") from exc
+            rows.append(f"{name},{cv:.6f},{validation:.6f}")
+            click.echo(f"cell {n}/{len(cells)} {name}: cv {cv:.3f}, validation "
+                       f"{validation:.3f}, {time.perf_counter() - start:.2f} s", err=True)
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_matrix_experiment, cells, cell_matrices))
-
-        write_lines(output, ",".join(_GRID_AXES) + ",cv_accuracy,validation_accuracy",
-                    map(_grid_row, cells, results))
+        write_lines(output, ",".join(_GRID_AXES) + ",cv_accuracy,validation_accuracy", rows)
     except (ValueError, OSError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote {len(cells)} grid rows to {output}")

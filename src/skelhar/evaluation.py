@@ -226,14 +226,23 @@ def cross_validate(spec: ClassifierSpec, matrix: FeatureMatrix, folds: int = 5,
     Every row lands in exactly one held-out fold; the report's confusion
     matrix covers all rows and fold_accuracies lists per-fold accuracy.
     fold_assignment overrides the assignment (testing hook); it must map
-    every row to a fold in 0..folds-1.
+    every row to an integer fold in 0..folds-1 and leave no fold empty.
     """
     if fold_assignment is None:
         fold_assignment = assign_folds(matrix.labels, folds, seed)
     else:
-        fold_assignment = np.asarray(fold_assignment, dtype=np.int64)
+        fold_assignment = np.asarray(fold_assignment)
         if fold_assignment.shape != (matrix.n_rows,):
             raise ValueError("fold_assignment must assign every row")
+        if not np.issubdtype(fold_assignment.dtype, np.integer):
+            raise ValueError(f"fold_assignment must hold integers, not {fold_assignment.dtype}")
+        fold_assignment = fold_assignment.astype(np.int64)
+        outside = fold_assignment[(fold_assignment < 0) | (fold_assignment >= folds)]
+        if outside.size:
+            raise ValueError(f"fold_assignment has fold {outside[0]}, outside 0..{folds - 1}")
+        sizes = np.bincount(fold_assignment, minlength=folds)
+        if not sizes.all():
+            raise ValueError(f"fold_assignment leaves fold {np.argmin(sizes)} empty")
 
     predictions = np.empty(matrix.n_rows, dtype=np.int64)
     fold_accuracies = []

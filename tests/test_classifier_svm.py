@@ -244,12 +244,25 @@ def test_a_step_that_moves_no_multiplier_fails_at_once_naming_the_pair():
     assert "g_max - g_min" in str(err.value)
 
 
+def test_a_machine_that_cycles_fails_long_before_the_step_cap_naming_the_pair():
+    # at tolerance 1e-16 machine 2 vs 3 of this set alternates between two
+    # states, moving both multipliers by one rounding step each time
+    x, y = _three_blobs(1)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"cycled on the machine for labels 2 vs 3.*"
+                                           r"1e-16.*--svm-tol") as err:
+        train_arrays(CubicSvmSpec(tolerance=1e-16), x, y)
+    assert time.perf_counter() - start < 2.0
+    assert "g_max - g_min" in str(err.value)
+
+
 def test_the_step_cap_still_stops_a_machine_that_keeps_moving(monkeypatch):
     # at tolerance 1e-16 machine 2 vs 3 of this set alternates between two
-    # states, moving both multipliers by one rounding step each time, so only
-    # the cap stops it
+    # states, moving both multipliers by one rounding step each time; with the
+    # cycle check beyond the cap, only the cap stops it
     x, y = _three_blobs(1)
     monkeypatch.setattr(svm, "_MAX_STEPS", 3000)
+    monkeypatch.setattr(svm, "_CYCLE_STEPS", 4096)
     with pytest.raises(RuntimeError, match=r"within 3000 steps on the machine for labels 2 vs 3"):
         train_arrays(CubicSvmSpec(tolerance=1e-16), x, y)
     # the same cap is no obstacle at the default tolerance

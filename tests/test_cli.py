@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import skelhar.classifiers
 import skelhar.dataset
 import skelhar.evaluation
 from skelhar import (
@@ -27,6 +29,7 @@ from skelhar import (
     StratifyBy,
     read_dataset,
     run_experiment,
+    run_matrix_experiment,
     validate_sequence,
 )
 from skelhar.classifiers import FAMILIES
@@ -315,6 +318,90 @@ class TestGrid:
         assert runner.invoke(main, args + ["--jobs", "1", "-o", str(a)]).exit_code == 0
         assert runner.invoke(main, args + ["--jobs", "2", "-o", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_jobs_must_be_a_positive_integer(self, runner, dataset_file, tmp_path, jobs):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["grid", str(dataset_file), "--joints", "c9",
+                                      "--classifier", "lda", "--jobs", jobs, "-o", str(out)])
+        assert result.exit_code == 2
+        assert "--jobs" in result.output
+        assert not out.exists()
+
+    def test_grid_starts_no_thread(self, runner, dataset_file, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"grid started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, ["grid", str(dataset_file), "--modality",
+                                      "coordinates,velocity", "--classifier", "knn,lda",
+                                      "--joints", "c9", "--jobs", "2", "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(out.read_text().splitlines()) == 1 + 4
+
+    def test_importing_the_cli_loads_no_executor(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, skelhar.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"],
+            env=env, check=True, capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "[]"
+
+    def test_repeated_and_interleaved_axis_values_give_each_cell_its_own_row(
+            self, runner, dataset_file, tmp_path):
+        # coordinates comes back after velocity, so its matrix is built again
+        out = tmp_path / "grid.csv"
+        axes = {"modality": "coordinates,velocity,coordinates",
+                "joints": "c9,list:Neck,RHand", "classifier": "knn,lda"}
+        args = [arg for key, value in axes.items() for arg in (f"--{key}", value)]
+        result = runner.invoke(main, ["grid", str(dataset_file), *args, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+
+        manifest = read_dataset(dataset_file)
+        expected = []
+        for modality in ("coordinates", "velocity", "coordinates"):
+            for joints in ("c9", "list:Neck,RHand"):
+                for classifier in ("knn", "lda"):
+                    config = build_config({**_PIPELINE_DEFAULTS, "modality": modality,
+                                           "joints": joints, "classifier": classifier})
+                    alone = run_matrix_experiment(config, config.feature_matrix(manifest))
+                    expected.append(
+                        f"{modality},{joints.replace(',', ';')},3,off,{classifier},"
+                        f"{alone.cv_report.overall_accuracy:.6f},"
+                        f"{alone.report.overall_accuracy:.6f}")
+        assert out.read_text().splitlines()[1:] == expected
+
+    def test_each_cell_reports_its_accuracies_on_stderr(self, runner, dataset_file,
+                                                        tmp_path):
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, ["grid", str(dataset_file), "--modality",
+                                      "coordinates,velocity", "--classifier", "lda",
+                                      "--joints", "c9", "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        lines = result.stderr.splitlines()
+        assert len(lines) == 2
+        for n, (line, row) in enumerate(zip(lines, rows), 1):
+            assert re.fullmatch(
+                rf"cell {n}/2 {','.join(row[:5])}: cv {float(row[5]):.3f}, "
+                rf"validation {float(row[6]):.3f}, \d+\.\d\d s", line), line
+
+    def test_a_failing_cell_is_named_and_no_table_is_written(self, runner, dataset_file,
+                                                             tmp_path, monkeypatch):
+        def broken_trainer(spec, x, y):
+            raise ValueError("the tree trainer broke")
+
+        monkeypatch.setitem(skelhar.classifiers._TRAINERS, FineTreeSpec, broken_trainer)
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, ["grid", str(dataset_file), "--classifier", "knn,tree",
+                                      "--joints", "c9", "-o", str(out)])
+        assert result.exit_code == 1
+        assert "cell 2/2 coordinates,c9,3,off,tree: the tree trainer broke" in result.stderr
+        assert result.stderr.startswith("cell 1/2 coordinates,c9,3,off,knn: cv ")
+        assert not out.exists()
 
     def test_empty_axis_is_usage_error(self, runner, dataset_file, tmp_path):
         result = runner.invoke(main, ["grid", str(dataset_file), "--modality", ",",

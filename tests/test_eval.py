@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,21 @@ class TestCrossValidate:
         for c in (1, 2, 3):
             assert report.confusion[c - 1].sum() == np.sum(matrix.labels == c)
         assert len(report.fold_accuracies) == 5
+
+    @pytest.mark.parametrize("assignment, message", [
+        (np.where(np.arange(100) == 17, 5, np.arange(100) % 4), "fold 5, outside 0..4"),
+        (np.where(np.arange(100) == 17, -1, np.arange(100) % 4), "fold -1, outside 0..4"),
+        (np.arange(100) % 4, "leaves fold 4 empty"),
+        (np.arange(100) % 5 + 0.5, "must hold integers, not float64"),
+    ], ids=["above", "below", "empty-fold", "float"])
+    def test_fold_assignment_outside_the_folds_or_leaving_one_empty_is_rejected(
+            self, assignment, message):
+        # a row outside every fold would leave its prediction unset, an empty
+        # fold would give a NaN fold accuracy, and a float fold would be cut
+        # to an integer one
+        matrix = _toy_matrix(100, n_classes=2, seed=5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cross_validate(FineKnnSpec(k=1), matrix, folds=5, fold_assignment=assignment)
 
     def test_class_smaller_than_fold_count(self):
         matrix = _toy_matrix(12, n_classes=4, seed=3)
