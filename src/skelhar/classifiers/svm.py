@@ -24,15 +24,14 @@ and bias are the same bits; only the number of numpy calls falls, which
 is what a step of a machine of a few hundred rows costs. Machines are
 grouped in class-pair order, and a group's Grams stay within
 `_GROUP_BYTES` (a single machine may exceed it): at 2 participants all 36
-machines share one group, at 16 a group holds four. A step that moves
-neither multiplier of its pair leaves the machine where it was, so it
-would repeat until the step cap; it raises a RuntimeError at once that
-names the machine's labels, the remaining gap and the tolerance. That
-happens when the tolerance is below what rounding in G lets the solver
-reach. Rounding can also leave a machine cycling, each step moving its
-multipliers back and forth by one rounding step; every `_CYCLE_STEPS`
-steps, a machine whose alphas and gradient have the bits they had at the
-last check raises the same kind of error, long before the step cap.
+machines share one group, at 16 a group holds four. When the tolerance
+is below what rounding in G lets the solver reach, a machine can come
+back to a state it held before: a step moves neither multiplier of its
+pair, or steps move them back and forth by one rounding step. Either way
+it would repeat until the step cap. Every `_CYCLE_STEPS` steps, a machine
+whose alphas and gradient have the bits they had at the last check
+raises a RuntimeError that names its labels, the remaining gap and the
+tolerance.
 
 Multiclass uses one-vs-one voting over all label pairs. Features are
 z-scored inside the model (fitted on the training set) to keep the
@@ -191,10 +190,10 @@ def _lockstep_smo(pairs: list[tuple[int, int]], xs: list[np.ndarray], ys: list[n
                     r = int(np.argmax(same))
                     a, b = pairs[machine[r]]
                     raise RuntimeError(
-                        f"SMO cycled on the machine for labels {a} vs {b}: its multipliers "
-                        f"returned to the same values after {_CYCLE_STEPS} steps with the "
-                        f"gap g_max - g_min = {gap[r]:.6g} still above the tolerance "
-                        f"{tol:g}; retry with a larger --svm-tol")
+                        f"SMO repeats itself on the machine for labels {a} vs {b}: its "
+                        f"multipliers and gradient have the values they had {_CYCLE_STEPS} "
+                        f"steps before, with the gap g_max - g_min = {gap[r]:.6g} still "
+                        f"above the tolerance {tol:g}; retry with a larger --svm-tol")
             checked = state_bits
 
         k_i = rows_at[st + i * sz]
@@ -219,17 +218,7 @@ def _lockstep_smo(pairs: list[tuple[int, int]], xs: list[np.ndarray], ys: list[n
             for r in np.flatnonzero(((new < 0) | (new > c)).reshape(2, live).any(axis=0)):
                 new[r], new[live + r] = _clip_pair(old[r], old[live + r], new[r],
                                                    new[live + r], sign[r] > 0, c)
-        step = new - old
-        if not step.all():
-            stuck = ~step.reshape(2, live).any(axis=0)
-            if stuck.any():
-                r = int(np.argmax(stuck))
-                a, b = pairs[machine[r]]
-                raise RuntimeError(
-                    f"SMO stalled on the machine for labels {a} vs {b}: a step moved "
-                    f"neither multiplier with the gap g_max - g_min = {gap[r]:.6g} still "
-                    f"above the tolerance {tol:g}; retry with a larger --svm-tol")
-        y_step = y_ij * step
+        y_step = y_ij * (new - old)
         g_l += y_l * (k_i * y_step[:live, None] + k_j * y_step[live:, None])
         alpha.put(f, new)
         below_c, above_0 = new < c, new > 0

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import time
 from pathlib import Path
 
@@ -334,11 +333,6 @@ def _cell_name(config: PipelineConfig) -> str:
     return ",".join(flat[key] for key in _GRID_AXES)
 
 
-# an ExperimentResult's (cv, validation) accuracies; the result itself is
-# not kept
-_ACCURACIES = operator.attrgetter("cv_report.overall_accuracy", "report.overall_accuracy")
-
-
 @main.command()
 @click.argument("dataset", type=str)
 @click.option("-o", "--output", "output", required=True, type=str,
@@ -372,7 +366,8 @@ def grid(dataset, output, config_path, **flags):
                 if key != matrix_key:
                     matrix = None  # drop the last matrix before building the next
                     matrix, matrix_key = config.feature_matrix(manifest), key
-                cv, validation = _ACCURACIES(run_matrix_experiment(config, matrix))
+                result = run_matrix_experiment(config, matrix)
+                cv, validation = result.cv_report.overall_accuracy, result.report.overall_accuracy
             except (ValueError, RuntimeError) as exc:
                 raise click.ClickException(f"cell {n}/{len(cells)} {name}: {exc}") from exc
             rows.append(f"{name},{cv:.6f},{validation:.6f}")

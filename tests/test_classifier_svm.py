@@ -249,7 +249,7 @@ def test_a_machine_that_cycles_fails_long_before_the_step_cap_naming_the_pair():
     # states, moving both multipliers by one rounding step each time
     x, y = _three_blobs(1)
     start = time.perf_counter()
-    with pytest.raises(RuntimeError, match=r"cycled on the machine for labels 2 vs 3.*"
+    with pytest.raises(RuntimeError, match=r"repeats itself on the machine for labels 2 vs 3.*"
                                            r"1e-16.*--svm-tol") as err:
         train_arrays(CubicSvmSpec(tolerance=1e-16), x, y)
     assert time.perf_counter() - start < 2.0
