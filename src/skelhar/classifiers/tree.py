@@ -10,15 +10,25 @@ label, so training is fully deterministic.
 Split search presorts once per tree: every feature column is argsorted
 stably at the root, and a split hands each child its rows in the same order
 by a stable partition, so no node sorts again. A node scores all features at
-once, as a (features x cuts) gain matrix built from per-class cumulative
-counts, in blocks of at most _BLOCK_CELLS (rows x features) cells, or of
-one feature where a node has more rows. The working set is thus one int32
-presort of the training rows plus one block, whatever the feature count.
+once, as a (features x cuts) gain matrix, in blocks of at most _BLOCK_CELLS
+(rows x features) cells, or of one feature where a node has more rows.
+
+The gains come in rank form, CART's incremental impurity update taken over
+every cut at once. Sorted by label, a node's rows form the same run for every
+feature, in which the row of rank r in its class adds 2r + 1 to that class's
+squared left count. A stable argsort of a feature's labels (a radix sort, as
+labels are uint8 up to 256 classes) puts that run back in the feature's
+order, and its cumulative sum is sum_c l_c^2 at every cut; a cumulative sum
+of each position's class size gives the right side. Every sum is an exact
+integer, so the gains equal those of per-class counts bit for bit. The
+working set is one int32 presort of the training rows plus one block's
+arrays, each freed before the next is made.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -69,33 +79,47 @@ def _best_split(x: np.ndarray, label_idx: np.ndarray, order: np.ndarray,
     nl = np.arange(1.0, n)  # left sizes, one per cut position
     nr = n - nl
     nl2, nr2 = nl * nl, nr * nr
-    classes = np.flatnonzero(counts)
+    # Sorted by label, the node's rows form one run for every feature: class c
+    # fills positions start[c] ... start[c] + N[c] - 1. The row of rank r in its
+    # class raises that class's squared left count from r^2 to (r + 1)^2, so
+    # the run of 2r + 1, put back in feature order, has sum_c l_c^2 at every
+    # cut as its cumulative sum. Each sum is an exact integer, as a count is.
+    sizes = counts.astype(np.int64)
+    start = np.cumsum(sizes) - sizes
+    run = 2.0 * (np.arange(n) - np.repeat(start, sizes)) + 1.0
+    minus_2n = -2.0 * counts
+    sum_n2 = float(np.sum(counts * counts))
     best_gain, best = _MIN_GAIN, None
     step = max(1, _BLOCK_CELLS // n)
     for f0 in range(0, n_features, step):
         rows = order[f0:f0 + step]
-        v = x[rows, np.arange(f0, f0 + len(rows))[:, None]]  # reused for left counts
+        cells = np.multiply(rows, n_features, dtype=np.intp)  # flat positions in x
+        cells += np.arange(f0, f0 + len(rows))[:, None]
+        v = np.take(x, cells)  # the block's values, then each run in turn
         tied = v[:, :-1] >= v[:, 1:]  # no cut between equal values
         if tied.all():
             continue
-        labels = label_idx[rows]
-        is_c = np.empty(rows.shape, dtype=bool)
-        sq = np.empty(tied.shape)
-        gl = np.zeros(tied.shape)  # sum of squared left counts, then Gini, then gain
-        gr = np.zeros(tied.shape)
-        for c in classes:
-            np.equal(labels, c, out=is_c)
-            lc = np.cumsum(is_c, axis=1, dtype=np.float64, out=v)[:, :-1]
-            gl += np.multiply(lc, lc, out=sq)
-            np.subtract(counts[c], lc, out=sq)
-            gr += np.multiply(sq, sq, out=sq)
-        np.subtract(1.0, np.divide(gl, nl2, out=gl), out=gl)
+        labels = np.take(label_idx, rows)
+        del cells  # a dead block array is freed before the next one is made
+        by_label = np.argsort(labels, axis=1, kind="stable")  # radix for small labels
+        by_label += np.arange(0, labels.size, n)[:, None]  # flat positions in v
+        v.reshape(-1)[by_label] = run
+        del by_label
+        gl = np.cumsum(v[:, :-1], axis=1, out=np.empty(tied.shape))  # sum_c l_c^2
+        # sum_c r_c^2 = sum_c N_c^2 - 2 sum_c N_c l_c + sum_c l_c^2, where the
+        # middle sum accumulates N of each position's class
+        np.take(minus_2n, labels, out=v, mode="clip")  # in range; clip skips a buffer
+        v[:, 0] += sum_n2
+        gr = np.cumsum(v[:, :-1], axis=1, out=np.empty(tied.shape))
+        gr += gl
+        np.subtract(1.0, np.divide(gl, nl2, out=gl), out=gl)  # left Gini, then the gain
         np.subtract(1.0, np.divide(gr, nr2, out=gr), out=gr)
         gl *= nl
         gl += np.multiply(gr, nr, out=gr)
         gl /= n
         gain = np.subtract(g_node, gl, out=gl)
-        gain[tied] = -np.inf
+        if tied.any():
+            np.putmask(gain, tied, -np.inf)
         j = int(np.argmax(gain))  # row-major first maximum: smaller feature, then cut
         if gain.flat[j] > best_gain:
             best_gain = float(gain.flat[j])
@@ -112,8 +136,11 @@ def _best_split(x: np.ndarray, label_idx: np.ndarray, order: np.ndarray,
 
 def _grow_tree(x: np.ndarray, label_idx: np.ndarray, class_set: np.ndarray,
                max_splits: int) -> _Node:
+    x = np.ascontiguousarray(x)  # _best_split gathers from its flat layout
     n_total = x.shape[0]
     n_classes = len(class_set)
+    # the smallest unsigned labels: numpy sorts 8- and 16-bit keys by radix
+    label_idx = label_idx.astype(np.min_scalar_type(n_classes - 1))
 
     def _make(rows: np.ndarray) -> tuple[_Node, np.ndarray]:
         counts = np.bincount(label_idx[rows], minlength=n_classes).astype(np.float64)
@@ -187,14 +214,42 @@ def _node_to_dict(node: _Node) -> dict:
     }
 
 
-def _node_from_dict(d: dict) -> _Node:
-    if "leaf" in d:
-        return _Node(int(d["leaf"]), np.asarray(d["counts"], dtype=np.float64))
-    node = _Node(0)
-    node.feature = int(d["feature"])
-    node.threshold = float(d["threshold"])
-    node.left = _node_from_dict(d["left"])
-    node.right = _node_from_dict(d["right"])
+def _node_from_dict(d, model: "FineTreeModel | BaggedTreesModel", path: str) -> _Node:
+    """The node that _node_to_dict wrote as d, or a ValueError naming its path.
+
+    A split needs an int feature in [0, n_features), a finite threshold and
+    both children; a leaf needs one non-negative int count per class, with a
+    positive sum, and the counts' majority label as its label.
+    """
+    problem = None  # JSON gives exact types: a bool is no int, and an int no float
+    if not isinstance(d, dict):
+        problem = f"is a {type(d).__name__}, expected an object"
+    elif "leaf" in d:
+        counts, n_classes = d.get("counts"), len(model.class_set)
+        if (not isinstance(counts, list) or len(counts) != n_classes
+                or not all(type(c) is int and c >= 0 for c in counts) or sum(counts) == 0):
+            problem = (f"has counts {counts!r}, expected {n_classes} non-negative "
+                       f"integers with a positive sum")
+        else:
+            counts = np.asarray(counts, dtype=np.float64)
+            node = _Node(_majority(counts, model.class_set), counts)
+            if type(d["leaf"]) is not int or d["leaf"] != node.label:
+                problem = f"has leaf {d['leaf']!r}, but its counts' majority label is {node.label}"
+    elif not (type(d.get("feature")) is int and 0 <= d["feature"] < model.n_features):
+        problem = (f"has feature {d.get('feature')!r}, expected an integer in "
+                   f"[0, {model.n_features})")
+    elif not (type(d.get("threshold")) in (int, float) and math.isfinite(d["threshold"])):
+        problem = f"has threshold {d.get('threshold')!r}, expected a finite number"
+    elif not {"left", "right"} <= d.keys():
+        problem = f"has no {'left' if 'left' not in d else 'right'} child"
+    else:
+        node = _Node(0)
+        node.feature = d["feature"]
+        node.threshold = float(d["threshold"])
+        node.left = _node_from_dict(d["left"], model, path + ".left")
+        node.right = _node_from_dict(d["right"], model, path + ".right")
+    if problem:
+        raise ValueError(f"{model.kind} model: node {path}: {problem}")
     return node
 
 
@@ -227,7 +282,9 @@ class FineTreeModel(TrainedModel):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FineTreeModel":
-        return super().from_json_dict(d, root=_node_from_dict(cls._json_field(d, "tree")))
+        model = super().from_json_dict(d, root=None)
+        model.root = _node_from_dict(cls._json_field(d, "tree"), model, "root")
+        return model
 
 
 @dataclass(eq=False)
@@ -263,8 +320,10 @@ class BaggedTreesModel(TrainedModel):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BaggedTreesModel":
-        trees = [_node_from_dict(t) for t in cls._json_field(d, "trees")]
-        return super().from_json_dict(d, trees=trees)
+        model = super().from_json_dict(d, trees=None)
+        model.trees = [_node_from_dict(t, model, f"trees[{k}]")
+                       for k, t in enumerate(cls._json_field(d, "trees"))]
+        return model
 
 
 def train_fine_tree(spec: FineTreeSpec, x: np.ndarray, y: np.ndarray) -> FineTreeModel:

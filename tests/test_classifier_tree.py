@@ -1,3 +1,5 @@
+import copy
+import re
 import tracemalloc
 from unittest import mock
 
@@ -6,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelhar import BaggedTreesSpec, FineTreeSpec, train_arrays
-from skelhar.classifiers import FineTreeModel, tree
+from skelhar.classifiers import FineTreeModel, model_from_json_dict, tree
 from skelhar.classifiers.tree import train_bagged_trees, train_fine_tree
-from oracles import per_feature_grow_tree
+from oracles import per_feature_best_split, per_feature_grow_tree
 
 
 def _internal_nodes(node):
@@ -173,6 +175,19 @@ def _oracle_json(spec, x, y):
     return FineTreeModel(spec, root, x.shape[1], class_set).to_json_dict()
 
 
+def _assert_root_split_equals_the_oracle(x, label_idx, n_classes):
+    """_best_split at a node of every row gives the per-feature oracle's
+    (gain, feature, threshold, cut); the gain is compared with ==."""
+    counts = np.bincount(label_idx, minlength=n_classes).astype(np.float64)
+    order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T, dtype=np.int32)
+    labels = label_idx.astype(np.min_scalar_type(n_classes - 1))
+    split = tree._best_split(x, labels, order, counts)
+    oracle = per_feature_best_split(x, label_idx, np.arange(len(x)), counts)
+    assert oracle is not None
+    gain, feature, threshold, left, _ = oracle
+    assert split == (gain, feature, threshold, len(left) - 1)
+
+
 class TestPresortedSplitSearch:
     """The presorted, blocked split search grows the per-feature oracle's tree."""
 
@@ -195,6 +210,44 @@ class TestPresortedSplitSearch:
         with mock.patch.object(tree, "_BLOCK_CELLS", block_cells):
             model = train_fine_tree(spec, x, y)
         assert model.to_json_dict() == _oracle_json(spec, x, y)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_classes=st.integers(257, 300),
+           extra=st.integers(0, 40),
+           kinds=st.lists(st.sampled_from(["ties", "constant", "adjacent", "normal"]),
+                          min_size=1, max_size=3),
+           max_splits=st.integers(1, 30))
+    def test_more_than_256_labels_take_16_bit_labels_and_equal_the_oracle(
+            self, seed, n_classes, extra, kinds, max_splits):
+        rng = np.random.default_rng(seed)
+        n = n_classes + extra
+        y = rng.permutation(np.r_[1:n_classes + 1, rng.integers(1, n_classes + 1, size=extra)])
+        x = np.column_stack([_column(rng, kind, n) for kind in kinds])
+        x[:, 0] = rng.normal(size=n)  # a column with cuts, so the root is scored
+        spec = FineTreeSpec(max_splits=max_splits)
+        with mock.patch.object(tree, "_best_split", wraps=tree._best_split) as scored:
+            model = train_fine_tree(spec, x, y)
+        assert scored.call_args.args[1].dtype == np.uint16
+        assert model.to_json_dict() == _oracle_json(spec, x, y)
+        _assert_root_split_equals_the_oracle(x, y - 1, n_classes)
+
+    def test_nodes_missing_middle_classes_equal_the_oracle(self):
+        # feature 1 parts labels 1, 3, 5 from 2, 4: each child's counts hold
+        # zeros between nonzero entries
+        rng = np.random.default_rng(11)
+        n = 120
+        x = np.column_stack([_column(rng, kind, n) for kind in ("ties", "normal", "adjacent")])
+        y = np.where(x[:, 1] > 0, rng.choice([1, 3, 5], size=n), rng.choice([2, 4], size=n))
+        spec = FineTreeSpec(max_splits=12)
+        model = train_fine_tree(spec, x, y)
+        assert model.root.feature == 1
+        assert model.root.left.counts[[0, 2, 4]].tolist() == [0, 0, 0]
+        assert model.root.right.counts[[1, 3]].tolist() == [0, 0]
+        assert model.to_json_dict() == _oracle_json(spec, x, y)
+        # a node of labels 0, 2 and 4 of five, scored as it is
+        right = x[:, 1] > 0
+        _assert_root_split_equals_the_oracle(x[right], y[right] - 1, 5)
 
     @pytest.mark.parametrize("max_splits", [1, 3, 10, 100])
     def test_a_spent_budget_leaves_the_last_children_unscored(self, max_splits):
@@ -261,3 +314,69 @@ class TestPresortedSplitSearch:
         finally:
             tracemalloc.stop()
         assert peak < 4 * x.nbytes
+
+
+# a 3-feature, 2-class tree: the leaf at root.right.right is a 2:2 tie
+_TREE = {"feature": 0, "threshold": 0.5,
+         "left": {"leaf": 1, "counts": [3, 1]},
+         "right": {"feature": 2, "threshold": 1.5,
+                   "left": {"leaf": 2, "counts": [0, 2]},
+                   "right": {"leaf": 1, "counts": [2, 2]}}}
+_MISSING = object()
+
+
+def _fine_tree_dict(tree_dict):
+    return {"kind": "fine_tree", "spec": {"max_splits": 100, "seed": 0},
+            "tree": tree_dict, "n_features": 3, "class_set": [1, 2]}
+
+
+def _corrupt(path, key, value):
+    """_TREE with node path's key set to value, or removed for _MISSING."""
+    d = copy.deepcopy(_TREE)
+    node = d
+    for side in path:
+        node = node[side]
+    if value is _MISSING:
+        del node[key]
+    else:
+        node[key] = value
+    return d
+
+
+class TestTreeModelLoader:
+    """model.json trees load only when every node is one a trainer could grow."""
+
+    def test_a_valid_tree_loads_and_routes_rows(self):
+        model = model_from_json_dict(_fine_tree_dict(_TREE))
+        assert model.to_json_dict() == _fine_tree_dict(_TREE)
+        rows = np.array([[0.0, 0, 0], [1, 0, 1], [1, 0, 2]])
+        assert model.predict(rows).tolist() == [1, 2, 1]
+
+    @pytest.mark.parametrize("path, key, value, problem", [
+        ((), "feature", -1, "node root: has feature -1, expected an integer in [0, 3)"),
+        (("right",), "feature", 7, "node root.right: has feature 7"),
+        (("right",), "feature", 1.0, "node root.right: has feature 1.0"),
+        (("right",), "threshold", float("nan"), "node root.right: has threshold nan"),
+        (("right",), "left", _MISSING, "node root.right: has no left child"),
+        (("right",), "left", [1, 2], "node root.right.left: is a list, expected an object"),
+        (("left",), "counts", [1], "node root.left: has counts [1], expected 2 non-negative"),
+        (("left",), "counts", [4, -1], "node root.left: has counts [4, -1]"),
+        (("right", "left"), "counts", [0, 0], "node root.right.left: has counts [0, 0]"),
+        (("right", "left"), "leaf", 1, "node root.right.left: has leaf 1, but its counts' "
+                                       "majority label is 2"),
+        (("right", "right"), "leaf", 2, "node root.right.right: has leaf 2, but its counts' "
+                                        "majority label is 1"),
+    ], ids=["negative-feature", "feature-past-the-last", "float-feature", "nan-threshold",
+            "missing-child", "child-not-an-object", "short-counts", "negative-count", "empty-counts",
+            "leaf-not-the-majority", "leaf-not-the-smallest-of-a-tie"])
+    def test_a_corrupt_fine_tree_node_fails_naming_its_path(self, path, key, value, problem):
+        with pytest.raises(ValueError, match=re.escape(f"fine_tree model: {problem}")):
+            model_from_json_dict(_fine_tree_dict(_corrupt(path, key, value)))
+
+    def test_a_corrupt_bagged_member_fails_naming_the_member(self):
+        d = {"kind": "bagged_trees", "spec": {"n_trees": 2, "max_splits": 100, "seed": 0},
+             "trees": [_TREE, _corrupt(("right",), "threshold", float("inf"))],
+             "n_features": 3, "class_set": [1, 2]}
+        with pytest.raises(ValueError, match=re.escape(
+                "bagged_trees model: node trees[1].right: has threshold inf")):
+            model_from_json_dict(d)
