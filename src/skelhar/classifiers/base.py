@@ -183,16 +183,30 @@ class TrainedModel:
     @classmethod
     def from_json_dict(cls, d: dict, **decoded):
         """The model that `to_json_dict` wrote as d; a field passed by
-        keyword is used as it is. A missing field or an unknown spec key
-        raises a ValueError naming the model kind and the key."""
-        spec_type = typing.get_type_hints(cls)["spec"]
+        keyword is used as it is. A missing field, an unknown spec key, a
+        class_set that is not a strictly increasing list of at least two
+        ints, or an `int` field that is not an int >= 1 raises a ValueError
+        naming the model kind and the key, before any family's own checks."""
+        hints = typing.get_type_hints(cls)
         spec = cls._json_field(d, "spec")
-        unknown = sorted(set(spec) - {f.name for f in fields(spec_type)})
+        unknown = sorted(set(spec) - {f.name for f in fields(hints["spec"])})
         if unknown:
             raise ValueError(f"{cls.kind} model: unknown spec key {unknown[0]!r}")
-        state = {f.name: decoded[f.name] if f.name in decoded
-                 else _from_json(cls._json_field(d, f.name)) for f in fields(cls)[1:]}
-        return cls(spec_type(**spec), **state)
+        raw = {f.name: cls._json_field(d, f.name)
+               for f in fields(cls)[1:] if f.name not in decoded}
+        labels = raw["class_set"]
+        # JSON gives exact types: a bool is no int
+        if not (isinstance(labels, list) and len(labels) >= 2
+                and all(type(v) is int for v in labels)
+                and all(a < b for a, b in zip(labels, labels[1:]))):
+            raise ValueError(f"{cls.kind} model: class_set must be a strictly increasing "
+                             f"list of at least two integers, got {labels!r}")
+        for name, value in raw.items():
+            if hints[name] is int and not (type(value) is int and value >= 1):
+                raise ValueError(f"{cls.kind} model: {name} must be an integer >= 1, "
+                                 f"got {value!r}")
+        state = {name: _from_json(value) for name, value in raw.items()}
+        return cls(hints["spec"](**spec), **decoded, **state)
 
     @classmethod
     def _json_field(cls, d: dict, name: str):

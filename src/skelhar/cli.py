@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import signal
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
@@ -45,6 +48,9 @@ from .evaluation import (
     run_matrix_experiment,
 )
 from .features import SUBSETS, Modality, parse_subset
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 CLASSIFIER_NAMES = tuple(family.name for family in FAMILIES)
 _FAMILIES = {family.name: family for family in FAMILIES}
@@ -333,47 +339,211 @@ def _cell_name(config: PipelineConfig) -> str:
     return ",".join(flat[key] for key in _GRID_AXES)
 
 
+def _matrix_key(config: PipelineConfig) -> tuple:
+    """What a cell's feature matrix depends on among the axes. The axis order
+    makes the cells of one matrix contiguous; custom subsets share the name
+    "custom", so the key holds the joints."""
+    return config.modality, config.subset.joints, config.dims
+
+
+def _cell_failed(cells: list[PipelineConfig], n: int, problem) -> click.ClickException:
+    return click.ClickException(f"cell {n + 1}/{len(cells)} {_cell_name(cells[n])}: {problem}")
+
+
+def _run_cells(cells, manifest, report) -> None:
+    """Run the cells in table order in this process, one matrix alive at a time."""
+    matrix_key, matrix = None, None
+    for n, config in enumerate(cells):
+        start = time.perf_counter()
+        try:
+            key = _matrix_key(config)
+            if key != matrix_key:
+                matrix = None  # drop the last matrix before building the next
+                matrix, matrix_key = config.feature_matrix(manifest), key
+            result = run_matrix_experiment(config, matrix)
+        except (ValueError, RuntimeError) as exc:
+            raise _cell_failed(cells, n, exc) from exc
+        report(n, result.cv_report.overall_accuracy, result.report.overall_accuracy,
+               time.perf_counter() - start)
+
+
+# set in a grid worker's environment to its share of the CPUs
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _plan_workers(jobs: int, cells: int, cpus: int) -> tuple[int, int]:
+    """(worker processes, BLAS threads per worker) for --jobs `jobs` over
+    `cells` cells on `cpus` usable CPUs. One worker means the cells run in
+    the calling process."""
+    workers = max(1, min(jobs, cells, cpus))
+    return workers, max(1, cpus // workers)
+
+
+def _grid_worker(conn: Connection) -> None:
+    """A grid worker process: run each cell the parent sends, until it
+    closes its end of the pipe.
+
+    A message is (config, matrix), where matrix is None for a cell that
+    uses the worker's last matrix. The reply is (cv, validation, seconds),
+    or the error text of a cell whose experiment raised. Ctrl-C reaches the
+    parent, which ends its workers.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    matrix = None
+    while True:
+        try:
+            config, sent = conn.recv()
+        except EOFError:
+            return
+        if sent is not None:
+            matrix = sent
+        start = time.perf_counter()
+        try:
+            result = run_matrix_experiment(config, matrix)
+        except (ValueError, RuntimeError) as exc:
+            conn.send(str(exc))
+            continue
+        conn.send((result.cv_report.overall_accuracy, result.report.overall_accuracy,
+                   time.perf_counter() - start))
+
+
+def _worker_stopped(proc) -> str:
+    """A cell's error text when its worker died before it replied."""
+    proc.join()
+    return f"its grid worker stopped with exit code {proc.exitcode}"
+
+
+def _run_cells_in_workers(cells, manifest, report, n_workers: int, blas_threads: int) -> None:
+    """Run the cells in `n_workers` spawned processes with `blas_threads`
+    BLAS threads each, and report them in table order.
+
+    This process builds each matrix once and sends it to a worker only when
+    the worker's last cell used another. After a failure no cell starts and
+    the running ones finish, so the first failing cell in table order is the
+    one named. Every worker is terminated and joined on the way out.
+    """
+    # imported here, not at the top, so that `import skelhar.cli` stays
+    # about 14 ms faster
+    import multiprocessing
+    from multiprocessing import resource_tracker
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("spawn")
+    procs: dict[Connection, multiprocessing.process.BaseProcess] = {}  # by pipe end
+    try:
+        saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, str(blas_threads)))
+        try:
+            for _ in range(n_workers):
+                conn, child_conn = ctx.Pipe()
+                with child_conn:  # the worker's copy alone keeps its end open
+                    proc = ctx.Process(target=_grid_worker, args=(child_conn,))
+                    proc.start()
+                procs[conn] = proc
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
+
+        outcomes: dict[int, tuple | str] = {}
+        busy: dict[Connection, int] = {}  # worker -> the cell it runs
+        held: dict[Connection, tuple] = {}  # worker -> the key of its last matrix
+        idle = list(procs)
+        matrix_key, matrix = None, None
+        started = reported = 0
+        failed = False
+        while True:
+            while idle and started < len(cells) and not failed:
+                conn, config = idle.pop(), cells[started]
+                key = _matrix_key(config)
+                try:
+                    if key != matrix_key:
+                        matrix = None  # drop the last matrix before building the next
+                        matrix, matrix_key = config.feature_matrix(manifest), key
+                except (ValueError, RuntimeError) as exc:
+                    outcomes[started], failed = str(exc), True
+                    break
+                try:
+                    conn.send((config, None if held.get(conn) == key else matrix))
+                except OSError:  # the worker has died
+                    outcomes[started] = _worker_stopped(procs[conn])
+                    failed = True
+                    break
+                held[conn], busy[conn] = key, started
+                started += 1
+            if not busy:
+                break
+            for conn in wait(list(busy)):
+                n = busy.pop(conn)
+                try:
+                    outcomes[n] = conn.recv()
+                    idle.append(conn)
+                except EOFError:
+                    outcomes[n] = _worker_stopped(procs[conn])
+                failed = failed or isinstance(outcomes[n], str)
+            while reported in outcomes and not isinstance(outcomes[reported], str):
+                report(reported, *outcomes.pop(reported))
+                reported += 1
+        if reported < len(cells):
+            raise _cell_failed(cells, reported, outcomes[reported])
+    finally:
+        # a worker holds nothing to save, and ending it spares the wait for
+        # its interpreter to shut down
+        for conn, proc in procs.items():
+            conn.close()
+            proc.terminate()
+        for proc in procs.values():
+            proc.join()
+        # spawn started a resource tracker; stop it so that it does not
+        # outlive the command
+        resource_tracker._resource_tracker._stop()
+
+
 @main.command()
 @click.argument("dataset", type=str)
 @click.option("-o", "--output", "output", required=True, type=str,
               help="destination CSV table path")
-@click.option("--jobs", type=click.IntRange(min=1), hidden=True, expose_value=False,
-              deprecated="It has no effect: the cells run in order on one thread.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="cells run at once, each in a worker process; at most the usable "
+                   "CPUs and the number of cells")
 @_pipeline_options
-def grid(dataset, output, config_path, **flags):
+def grid(dataset, output, jobs, config_path, **flags):
     """Run a cartesian grid of configurations and tabulate accuracies.
 
     The axes --modality, --joints, --dims, --pca, and --classifier accept
     comma-separated value lists; all other parameters are fixed across the
-    grid. Cells run in row order (modality outermost, classifier innermost)
-    and each reports on stderr as it finishes; the table is written once
-    every cell has succeeded.
+    grid. Rows are in table order (modality outermost, classifier
+    innermost), and each cell reports on stderr in that order as it
+    finishes; the table is written once every cell has succeeded. With
+    --jobs above 1 the cells run in worker processes that share the CPUs'
+    BLAS threads, and the table has the same bytes.
     """
     values = _resolve(config_path, **flags)
     cells = [build_config({**values, **dict(zip(_GRID_AXES, combo))})
              for combo in itertools.product(*(_grid_axis(values, key) for key in _GRID_AXES))]
+    workers, blas_threads = _plan_workers(jobs, len(cells), _usable_cpus())
+    rows = []
+
+    def report(n: int, cv: float, validation: float, seconds: float) -> None:
+        name = _cell_name(cells[n])
+        rows.append(f"{name},{cv:.6f},{validation:.6f}")
+        click.echo(f"cell {n + 1}/{len(cells)} {name}: cv {cv:.3f}, validation "
+                   f"{validation:.3f}, {seconds:.2f} s", err=True)
 
     try:
         manifest = read_dataset(dataset)
-        rows, matrix_key, matrix = [], None, None
-        for n, config in enumerate(cells, 1):
-            name = _cell_name(config)
-            start = time.perf_counter()
-            try:
-                # the axis order makes the cells of one matrix contiguous;
-                # custom subsets share the name "custom", so key on the joints
-                key = (config.modality, config.subset.joints, config.dims)
-                if key != matrix_key:
-                    matrix = None  # drop the last matrix before building the next
-                    matrix, matrix_key = config.feature_matrix(manifest), key
-                result = run_matrix_experiment(config, matrix)
-                cv, validation = result.cv_report.overall_accuracy, result.report.overall_accuracy
-            except (ValueError, RuntimeError) as exc:
-                raise click.ClickException(f"cell {n}/{len(cells)} {name}: {exc}") from exc
-            rows.append(f"{name},{cv:.6f},{validation:.6f}")
-            click.echo(f"cell {n}/{len(cells)} {name}: cv {cv:.3f}, validation "
-                       f"{validation:.3f}, {time.perf_counter() - start:.2f} s", err=True)
-
+        if workers == 1:
+            _run_cells(cells, manifest, report)
+        else:
+            _run_cells_in_workers(cells, manifest, report, workers, blas_threads)
         write_lines(output, ",".join(_GRID_AXES) + ",cv_accuracy,validation_accuracy", rows)
     except (ValueError, OSError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,14 @@ def two_sequence_manifest() -> DatasetManifest:
     seqs = (make_sequence(participant=1, label=1),
             make_sequence(participant=1, label=2, drift=0.001))
     return DatasetManifest(seqs, Synthetic(0))
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a multiprocessing child running, after ending it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(10)
+    assert not left, f"the test left child processes running: {left}"

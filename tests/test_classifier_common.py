@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,40 @@ def test_model_json_names_an_unknown_spec_key():
         with pytest.raises(ValueError, match=f"^{payload['kind']} model: unknown spec key "
                                              "'depth'$"):
             model_from_json_dict(payload)
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("n_features", "3", "n_features must be an integer >= 1, got '3'"),
+    ("n_features", 0, "n_features must be an integer >= 1, got 0"),
+    ("n_features", True, "n_features must be an integer >= 1, got True"),
+    ("class_set", [2, 1], "class_set must be a strictly increasing list of at least "
+                          "two integers, got [2, 1]"),
+    ("class_set", [1, 1], "class_set must be a strictly increasing list"),
+    ("class_set", [1], "class_set must be a strictly increasing list"),
+    ("class_set", [1.0, 2.0], "class_set must be a strictly increasing list"),
+    ("class_set", "12", "class_set must be a strictly increasing list"),
+])
+def test_model_json_checks_class_set_and_counts_before_the_family_loader(key, value,
+                                                                         problem):
+    # the fine tree loader would otherwise compare "3" with a feature index,
+    # or fail at the first leaf whose counts follow the unsorted class set
+    x, y, _ = _three_blobs(seed=8)
+    payload = train_arrays(FineTreeSpec(seed=3), x, y).to_json_dict()
+    payload[key] = value
+    with pytest.raises(ValueError, match=re.escape(f"fine_tree model: {problem}")):
+        model_from_json_dict(payload)
+
+
+def test_model_json_checks_every_int_field():
+    x, y, _ = _three_blobs(seed=8)
+    for spec in ALL_SPECS:
+        payload = train_arrays(spec, x, y).to_json_dict()
+        for key in {"n_features", "n_in"} & set(payload):
+            with pytest.raises(ValueError, match=f"^{payload['kind']} model: {key} must be "
+                                                 "an integer >= 1, got 2.0$"):
+                model_from_json_dict({**payload, key: 2.0})
+        with pytest.raises(ValueError, match=f"^{payload['kind']} model: class_set must be"):
+            model_from_json_dict({**payload, "class_set": [5, 2, 1]})
 
 
 @pytest.mark.parametrize("field, build", [

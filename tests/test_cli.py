@@ -1,16 +1,20 @@
 import hashlib
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
 import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import skelhar.classifiers
+import skelhar.cli
 import skelhar.dataset
 import skelhar.evaluation
 from skelhar import (
@@ -33,7 +37,14 @@ from skelhar import (
     validate_sequence,
 )
 from skelhar.classifiers import FAMILIES
-from skelhar.cli import _PIPELINE_DEFAULTS, build_config, config_to_flat, main
+from skelhar.cli import (
+    _PIPELINE_DEFAULTS,
+    CLASSIFIER_NAMES,
+    _plan_workers,
+    build_config,
+    config_to_flat,
+    main,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +59,24 @@ def dataset_file(tmp_path_factory, runner):
                                   "--seed", "7", "-o", str(path)])
     assert result.exit_code == 0, result.output
     return path
+
+
+def _die_in_the_first_cell(conn):
+    """A grid worker that exits while it holds its first cell."""
+    conn.recv()
+    os._exit(3)
+
+
+def _fail_knn_cells_last(conn):
+    """A grid worker that fails every cell, a k-NN cell after the others."""
+    while True:
+        try:
+            config, _ = conn.recv()
+        except EOFError:
+            return
+        if isinstance(config.classifier, FineKnnSpec):
+            time.sleep(0.5)
+        conn.send(f"{type(config.classifier).__name__} failed")
 
 
 def _run_skelhar(args, blas_threads):
@@ -311,13 +340,100 @@ class TestGrid:
         assert result.exit_code == 0, result.output
         assert len(out.read_text().splitlines()) == 1 + 12
 
-    def test_parallel_jobs_keep_row_order(self, runner, dataset_file, tmp_path):
+    def test_parallel_jobs_keep_row_order(self, runner, dataset_file, tmp_path,
+                                          monkeypatch):
+        # three usable CPUs, so that --jobs 3 runs three workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         args = ["grid", str(dataset_file), "--modality", "coordinates,velocity",
-                "--classifier", "knn", "--joints", "c9"]
-        a, b = tmp_path / "j1.csv", tmp_path / "j2.csv"
-        assert runner.invoke(main, args + ["--jobs", "1", "-o", str(a)]).exit_code == 0
-        assert runner.invoke(main, args + ["--jobs", "2", "-o", str(b)]).exit_code == 0
-        assert a.read_bytes() == b.read_bytes()
+                "--joints", "c9", "--pca", "off,on", "--classifier", ",".join(CLASSIFIER_NAMES),
+                "--bagged-trees", "3", "--epochs", "5"]
+        tables, lines = {}, {}
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            result = runner.invoke(main, args + ["--jobs", jobs, "-o", str(out)])
+            assert result.exit_code == 0, result.output
+            tables[jobs] = out.read_bytes()
+            # each cell's line, in table order, without its seconds
+            lines[jobs] = [re.sub(r", \d+\.\d\d s$", "", line)
+                           for line in result.stderr.splitlines()]
+        assert len(tables["1"].splitlines()) == 1 + 2 * 2 * len(CLASSIFIER_NAMES)
+        assert tables["2"] == tables["1"] and tables["3"] == tables["1"]
+        assert lines["2"] == lines["1"] and lines["3"] == lines["1"]
+
+    def test_a_failing_cell_under_jobs_is_named_as_in_process(self, runner, dataset_file,
+                                                              tmp_path, monkeypatch):
+        # k-NN fails in cells 1 and 3; LDA succeeds in cells 2 and 4, but no
+        # line follows the first failure in table order
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        errors = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            result = runner.invoke(main, ["grid", str(dataset_file), "--modality",
+                                          "coordinates,velocity", "--classifier", "knn,lda",
+                                          "--joints", "c9", "--knn-k", "100000",
+                                          "--jobs", jobs, "-o", str(out)])
+            assert result.exit_code == 1
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
+            errors[jobs] = result.stderr
+        assert errors["2"] == errors["1"]
+        assert errors["2"].startswith("Error: cell 1/4 coordinates,c9,3,off,knn: k=100000 "
+                                      "exceeds the")
+
+    @pytest.mark.parametrize("worker, problem", [
+        ("_die_in_the_first_cell", "its grid worker stopped with exit code 3"),
+        ("_fail_knn_cells_last", "FineKnnSpec failed"),
+    ])
+    def test_a_worker_failure_is_located_at_the_first_failing_cell(
+            self, runner, dataset_file, tmp_path, monkeypatch, worker, problem):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(skelhar.cli, "_grid_worker", globals()[worker])
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, ["grid", str(dataset_file), "--classifier", "knn,lda",
+                                      "--joints", "c9", "--jobs", "2", "-o", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: cell 1/2 coordinates,c9,3,off,knn: {problem}\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_ctrl_c_ends_every_worker(self, runner, dataset_file, tmp_path, monkeypatch):
+        def interrupt(conns, timeout=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(multiprocessing.connection, "wait", interrupt)
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, ["grid", str(dataset_file), "--classifier", "knn,lda",
+                                      "--joints", "c9", "--jobs", "2", "-o", str(out)])
+        assert result.exit_code == 1
+        assert "Aborted!" in result.stderr
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs, cells, cpus, expected", [
+        (1, 24, 2, (1, 2)),
+        (2, 24, 2, (2, 1)),
+        (10**12, 24, 2, (2, 1)),
+        (10**12, 3, 64, (3, 21)),
+        (10**12, 1, 64, (1, 64)),
+        (4, 24, 1, (1, 1)),
+        (3, 24, 8, (3, 2)),
+    ])
+    def test_workers_are_capped_at_the_cpus_and_the_cells(self, jobs, cells, cpus, expected):
+        assert _plan_workers(jobs, cells, cpus) == expected
+
+    def test_a_huge_jobs_value_on_one_cell_starts_no_process(self, runner, dataset_file,
+                                                             tmp_path, monkeypatch):
+        def refuse(process):
+            raise AssertionError("grid started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, ["grid", str(dataset_file), "--joints", "c9",
+                                      "--classifier", "lda", "--jobs", str(10**30),
+                                      "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(out.read_text().splitlines()) == 1 + 1
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
     def test_jobs_must_be_a_positive_integer(self, runner, dataset_file, tmp_path, jobs):
