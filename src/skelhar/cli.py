@@ -14,13 +14,18 @@ names the flag.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import math
 import os
-import signal
+import pickle
+import select
+import subprocess
+import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import BinaryIO
 
 import click
 
@@ -48,9 +53,6 @@ from .evaluation import (
     run_matrix_experiment,
 )
 from .features import SUBSETS, Modality, parse_subset
-
-if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
 
 CLASSIFIER_NAMES = tuple(family.name for family in FAMILIES)
 _FAMILIES = {family.name: family for family in FAMILIES}
@@ -350,8 +352,9 @@ def _cell_failed(cells: list[PipelineConfig], n: int, problem) -> click.ClickExc
     return click.ClickException(f"cell {n + 1}/{len(cells)} {_cell_name(cells[n])}: {problem}")
 
 
-def _run_cells(cells, manifest, report) -> None:
+def _run_cells(cells, dataset: str, report) -> None:
     """Run the cells in table order in this process, one matrix alive at a time."""
+    manifest = read_dataset(dataset)
     matrix_key, matrix = None, None
     for n, config in enumerate(cells):
         start = time.perf_counter()
@@ -369,6 +372,8 @@ def _run_cells(cells, manifest, report) -> None:
 
 # set in a grid worker's environment to its share of the CPUs
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# how a grid worker starts; a test may substitute another program
+_WORKER_ARGV = (sys.executable, "-m", "skelhar.gridworker")
 
 
 def _usable_cpus() -> int:
@@ -377,159 +382,140 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _plan_workers(jobs: int, cells: int, cpus: int) -> tuple[int, int]:
-    """(worker processes, BLAS threads per worker) for --jobs `jobs` over
-    `cells` cells on `cpus` usable CPUs. One worker means the cells run in
-    the calling process."""
-    workers = max(1, min(jobs, cells, cpus))
+def _plan_workers(cells: int, cpus: int) -> tuple[int, int]:
+    """(worker processes, BLAS threads per worker) for `cells` cells on
+    `cpus` usable CPUs. One worker means the cells run in the calling
+    process."""
+    workers = max(1, min(cells, cpus))
     return workers, max(1, cpus // workers)
 
 
-def _grid_worker(conn: Connection) -> None:
-    """A grid worker process: run each cell the parent sends, until it
-    closes its end of the pipe.
-
-    A message is (config, matrix), where matrix is None for a cell that
-    uses the worker's last matrix. The reply is (cv, validation, seconds),
-    or the error text of a cell whose experiment raised. Ctrl-C reaches the
-    parent, which ends its workers.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    matrix = None
-    while True:
-        try:
-            config, sent = conn.recv()
-        except EOFError:
-            return
-        if sent is not None:
-            matrix = sent
-        start = time.perf_counter()
-        try:
-            result = run_matrix_experiment(config, matrix)
-        except (ValueError, RuntimeError) as exc:
-            conn.send(str(exc))
-            continue
-        conn.send((result.cv_report.overall_accuracy, result.report.overall_accuracy,
-                   time.perf_counter() - start))
+def _start_worker(blas_threads: int) -> subprocess.Popen:
+    """A grid worker that imports this copy of the package and runs BLAS on
+    `blas_threads` threads. It has a session of its own, so Ctrl-C reaches
+    only this process, which ends its workers."""
+    path = [str(Path(__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, str(blas_threads)),
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.Popen(_WORKER_ARGV, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            env=env, start_new_session=True)
 
 
-def _worker_stopped(proc) -> str:
+def _worker_stopped(worker: subprocess.Popen) -> str:
     """A cell's error text when its worker died before it replied."""
-    proc.join()
-    return f"its grid worker stopped with exit code {proc.exitcode}"
+    return f"its grid worker stopped with exit code {worker.wait()}"
 
 
-def _run_cells_in_workers(cells, manifest, report, n_workers: int, blas_threads: int) -> None:
-    """Run the cells in `n_workers` spawned processes with `blas_threads`
-    BLAS threads each, and report them in table order.
+def _run_cells_in_workers(cells, dataset: str, report, n_workers: int,
+                          blas_threads: int) -> None:
+    """Run the cells in `n_workers` worker processes (skelhar.gridworker)
+    with `blas_threads` BLAS threads each, and report them in table order.
 
     This process builds each matrix once and sends it to a worker only when
-    the worker's last cell used another. After a failure no cell starts and
-    the running ones finish, so the first failing cell in table order is the
-    one named. Every worker is terminated and joined on the way out.
+    the worker's last cell used another. A matrix's cells start longest
+    first, by the seconds that the cell with the same PCA and classifier
+    took on an earlier matrix, so that no worker idles behind a long last
+    cell; a kind not timed yet starts first, in table order. After a failure
+    no later cell in table order starts, so the first failing cell in table
+    order is the one named. Every worker is ended and waited for on the way
+    out.
     """
-    # imported here, not at the top, so that `import skelhar.cli` stays
-    # about 14 ms faster
-    import multiprocessing
-    from multiprocessing import resource_tracker
-    from multiprocessing.connection import wait
-
-    ctx = multiprocessing.get_context("spawn")
-    procs: dict[Connection, multiprocessing.process.BaseProcess] = {}  # by pipe end
+    workers: dict[BinaryIO, subprocess.Popen] = {}  # by the pipe it replies on
     try:
-        saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, str(blas_threads)))
-        try:
-            for _ in range(n_workers):
-                conn, child_conn = ctx.Pipe()
-                with child_conn:  # the worker's copy alone keeps its end open
-                    proc = ctx.Process(target=_grid_worker, args=(child_conn,))
-                    proc.start()
-                procs[conn] = proc
-        finally:
-            for var, value in saved.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value
-
+        for _ in range(n_workers):
+            worker = _start_worker(blas_threads)
+            workers[worker.stdout] = worker
+        manifest = read_dataset(dataset)  # while the workers start
         outcomes: dict[int, tuple | str] = {}
-        busy: dict[Connection, int] = {}  # worker -> the cell it runs
-        held: dict[Connection, tuple] = {}  # worker -> the key of its last matrix
-        idle = list(procs)
+        busy: dict[BinaryIO, int] = {}  # worker -> the cell it runs
+        held: dict[BinaryIO, tuple] = {}  # worker -> the key of its last matrix
+        idle = list(workers)
+        took: dict[tuple, float] = {}  # (pca, classifier) -> seconds of its last cell
+        queue: list[int] = []  # the current matrix's cells that have not started
         matrix_key, matrix = None, None
-        started = reported = 0
-        failed = False
+        queued = reported = 0
+        stop = len(cells)  # the first failing cell: no cell from here on starts
         while True:
-            while idle and started < len(cells) and not failed:
-                conn, config = idle.pop(), cells[started]
-                key = _matrix_key(config)
-                try:
-                    if key != matrix_key:
+            queue = [n for n in queue if n < stop]
+            while idle and (queue or queued < stop):
+                if not queue:
+                    matrix_key, end = _matrix_key(cells[queued]), queued + 1
+                    while end < len(cells) and _matrix_key(cells[end]) == matrix_key:
+                        end += 1
+                    queue = sorted(range(queued, end), key=lambda n: -took.get(
+                        (cells[n].pca, cells[n].classifier), math.inf))
+                    try:
                         matrix = None  # drop the last matrix before building the next
-                        matrix, matrix_key = config.feature_matrix(manifest), key
-                except (ValueError, RuntimeError) as exc:
-                    outcomes[started], failed = str(exc), True
-                    break
+                        matrix = cells[queued].feature_matrix(manifest)
+                    except (ValueError, RuntimeError) as exc:
+                        outcomes[queued], stop = str(exc), queued
+                        break
+                    queued = end
+                pipe, n = idle.pop(), queue.pop(0)
                 try:
-                    conn.send((config, None if held.get(conn) == key else matrix))
+                    pickle.dump((cells[n], None if held.get(pipe) == matrix_key else matrix),
+                                workers[pipe].stdin)
+                    workers[pipe].stdin.flush()
                 except OSError:  # the worker has died
-                    outcomes[started] = _worker_stopped(procs[conn])
-                    failed = True
+                    outcomes[n], stop = _worker_stopped(workers[pipe]), min(stop, n)
                     break
-                held[conn], busy[conn] = key, started
-                started += 1
+                held[pipe], busy[pipe] = matrix_key, n
             if not busy:
                 break
-            for conn in wait(list(busy)):
-                n = busy.pop(conn)
+            for pipe in select.select(list(busy), [], [])[0]:
+                n = busy.pop(pipe)
                 try:
-                    outcomes[n] = conn.recv()
-                    idle.append(conn)
-                except EOFError:
-                    outcomes[n] = _worker_stopped(procs[conn])
-                failed = failed or isinstance(outcomes[n], str)
+                    outcomes[n] = pickle.load(pipe)
+                    idle.append(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    outcomes[n] = _worker_stopped(workers[pipe])
+                if isinstance(outcomes[n], str):
+                    stop = min(stop, n)
+                else:
+                    took[cells[n].pca, cells[n].classifier] = outcomes[n][2]
             while reported in outcomes and not isinstance(outcomes[reported], str):
                 report(reported, *outcomes.pop(reported))
                 reported += 1
         if reported < len(cells):
-            raise _cell_failed(cells, reported, outcomes[reported])
+            # a cell before the first failure goes unrun only when every
+            # worker has died
+            first = min(n for n, outcome in outcomes.items() if isinstance(outcome, str))
+            raise _cell_failed(cells, first, outcomes[first])
     finally:
         # a worker holds nothing to save, and ending it spares the wait for
         # its interpreter to shut down
-        for conn, proc in procs.items():
-            conn.close()
-            proc.terminate()
-        for proc in procs.values():
-            proc.join()
-        # spawn started a resource tracker; stop it so that it does not
-        # outlive the command
-        resource_tracker._resource_tracker._stop()
+        for worker in workers.values():
+            with contextlib.suppress(OSError):  # unsent bytes to a dead worker
+                worker.stdin.close()
+            worker.terminate()
+        for worker in workers.values():
+            worker.wait()
+            worker.stdout.close()
 
 
 @main.command()
 @click.argument("dataset", type=str)
 @click.option("-o", "--output", "output", required=True, type=str,
               help="destination CSV table path")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="cells run at once, each in a worker process; at most the usable "
-                   "CPUs and the number of cells")
+@click.option("--jobs", type=click.IntRange(min=1), hidden=True, expose_value=False,
+              deprecated="It has no effect: the cells run in one worker process per "
+                         "usable CPU.")
 @_pipeline_options
-def grid(dataset, output, jobs, config_path, **flags):
+def grid(dataset, output, config_path, **flags):
     """Run a cartesian grid of configurations and tabulate accuracies.
 
     The axes --modality, --joints, --dims, --pca, and --classifier accept
     comma-separated value lists; all other parameters are fixed across the
-    grid. Rows are in table order (modality outermost, classifier
-    innermost), and each cell reports on stderr in that order as it
-    finishes; the table is written once every cell has succeeded. With
-    --jobs above 1 the cells run in worker processes that share the CPUs'
-    BLAS threads, and the table has the same bytes.
+    grid. The cells run in worker processes, one per usable CPU (at most
+    one per cell), that share the CPUs' BLAS threads; on one CPU they run
+    in this process. Rows are in table order (modality outermost,
+    classifier innermost), and each cell reports on stderr in that order
+    as it finishes; the table is written once every cell has succeeded.
     """
     values = _resolve(config_path, **flags)
     cells = [build_config({**values, **dict(zip(_GRID_AXES, combo))})
              for combo in itertools.product(*(_grid_axis(values, key) for key in _GRID_AXES))]
-    workers, blas_threads = _plan_workers(jobs, len(cells), _usable_cpus())
+    workers, blas_threads = _plan_workers(len(cells), _usable_cpus())
     rows = []
 
     def report(n: int, cv: float, validation: float, seconds: float) -> None:
@@ -539,11 +525,10 @@ def grid(dataset, output, jobs, config_path, **flags):
                    f"{validation:.3f}, {seconds:.2f} s", err=True)
 
     try:
-        manifest = read_dataset(dataset)
         if workers == 1:
-            _run_cells(cells, manifest, report)
+            _run_cells(cells, dataset, report)
         else:
-            _run_cells_in_workers(cells, manifest, report, workers, blas_threads)
+            _run_cells_in_workers(cells, dataset, report, workers, blas_threads)
         write_lines(output, ",".join(_GRID_AXES) + ",cv_accuracy,validation_accuracy", rows)
     except (ValueError, OSError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc

@@ -1,4 +1,4 @@
-import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -46,10 +46,13 @@ def two_sequence_manifest() -> DatasetManifest:
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a multiprocessing child running, after ending it."""
+    """Fail a test that leaves a child process of the test run running or
+    unwaited-for, such as a grid worker."""
     yield
-    left = multiprocessing.active_children()
-    for child in left:
-        child.terminate()
-        child.join(10)
-    assert not left, f"the test left child processes running: {left}"
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail("the test left a child process running" if pid == 0 else
+                f"the test left child process {pid} unwaited-for "
+                f"(exit code {os.waitstatus_to_exitcode(status)})")

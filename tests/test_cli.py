@@ -1,13 +1,11 @@
 import hashlib
 import json
-import multiprocessing
-import multiprocessing.connection
 import os
+import pickle
 import re
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -61,22 +59,41 @@ def dataset_file(tmp_path_factory, runner):
     return path
 
 
-def _die_in_the_first_cell(conn):
-    """A grid worker that exits while it holds its first cell."""
-    conn.recv()
-    os._exit(3)
+# grid worker programs that tests put in place of skelhar.gridworker
+_DIE_IN_THE_FIRST_CELL = "import sys; sys.stdin.buffer.read(1); sys.exit(3)"
+_FAIL_KNN_CELLS_LAST = """
+import pickle, sys, time
+while True:
+    try:
+        config, _ = pickle.load(sys.stdin.buffer)
+    except EOFError:
+        break
+    name = type(config.classifier).__name__
+    if name == "FineKnnSpec":
+        time.sleep(0.5)
+    pickle.dump(f"{name} failed", sys.stdout.buffer)
+    sys.stdout.buffer.flush()
+"""
+
+# k-NN cells take 0.3 s and report 1 s; LDA cells report 2 s at once
+_KNN_SLOW_LDA_LONG = """
+import pickle, sys, time
+while True:
+    try:
+        config, _ = pickle.load(sys.stdin.buffer)
+    except EOFError:
+        break
+    knn = type(config.classifier).__name__ == "FineKnnSpec"
+    if knn:
+        time.sleep(0.3)
+    pickle.dump((0.5, 0.5, 1.0 if knn else 2.0), sys.stdout.buffer)
+    sys.stdout.buffer.flush()
+"""
 
 
-def _fail_knn_cells_last(conn):
-    """A grid worker that fails every cell, a k-NN cell after the others."""
-    while True:
-        try:
-            config, _ = conn.recv()
-        except EOFError:
-            return
-        if isinstance(config.classifier, FineKnnSpec):
-            time.sleep(0.5)
-        conn.send(f"{type(config.classifier).__name__} failed")
+def _use_cpus(monkeypatch, n):
+    """Let grid see `n` usable CPUs, so that it starts up to `n` workers."""
+    monkeypatch.setattr(skelhar.cli, "_usable_cpus", lambda: n)
 
 
 def _run_skelhar(args, blas_threads):
@@ -340,94 +357,114 @@ class TestGrid:
         assert result.exit_code == 0, result.output
         assert len(out.read_text().splitlines()) == 1 + 12
 
-    def test_parallel_jobs_keep_row_order(self, runner, dataset_file, tmp_path,
-                                          monkeypatch):
-        # three usable CPUs, so that --jobs 3 runs three workers
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    def test_every_worker_count_gives_the_same_table(self, runner, dataset_file, tmp_path,
+                                                     monkeypatch):
+        # one CPU runs the cells in this process, the reference
         args = ["grid", str(dataset_file), "--modality", "coordinates,velocity",
                 "--joints", "c9", "--pca", "off,on", "--classifier", ",".join(CLASSIFIER_NAMES),
                 "--bagged-trees", "3", "--epochs", "5"]
         tables, lines = {}, {}
-        for jobs in ("1", "2", "3"):
-            out = tmp_path / f"jobs{jobs}.csv"
-            result = runner.invoke(main, args + ["--jobs", jobs, "-o", str(out)])
+        for cpus in (1, 2, 3):
+            _use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            result = runner.invoke(main, args + ["-o", str(out)])
             assert result.exit_code == 0, result.output
-            tables[jobs] = out.read_bytes()
+            tables[cpus] = out.read_bytes()
             # each cell's line, in table order, without its seconds
-            lines[jobs] = [re.sub(r", \d+\.\d\d s$", "", line)
+            lines[cpus] = [re.sub(r", \d+\.\d\d s$", "", line)
                            for line in result.stderr.splitlines()]
-        assert len(tables["1"].splitlines()) == 1 + 2 * 2 * len(CLASSIFIER_NAMES)
-        assert tables["2"] == tables["1"] and tables["3"] == tables["1"]
-        assert lines["2"] == lines["1"] and lines["3"] == lines["1"]
+        assert len(tables[1].splitlines()) == 1 + 2 * 2 * len(CLASSIFIER_NAMES)
+        assert tables[2] == tables[1] and tables[3] == tables[1]
+        assert lines[2] == lines[1] and lines[3] == lines[1]
 
-    def test_a_failing_cell_under_jobs_is_named_as_in_process(self, runner, dataset_file,
-                                                              tmp_path, monkeypatch):
+    def test_a_failing_cell_in_a_worker_is_named_as_in_process(self, runner, dataset_file,
+                                                               tmp_path, monkeypatch):
         # k-NN fails in cells 1 and 3; LDA succeeds in cells 2 and 4, but no
         # line follows the first failure in table order
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         errors = {}
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}.csv"
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
             result = runner.invoke(main, ["grid", str(dataset_file), "--modality",
                                           "coordinates,velocity", "--classifier", "knn,lda",
                                           "--joints", "c9", "--knn-k", "100000",
-                                          "--jobs", jobs, "-o", str(out)])
+                                          "-o", str(out)])
             assert result.exit_code == 1
             assert not out.exists()
-            assert multiprocessing.active_children() == []
-            errors[jobs] = result.stderr
-        assert errors["2"] == errors["1"]
-        assert errors["2"].startswith("Error: cell 1/4 coordinates,c9,3,off,knn: k=100000 "
-                                      "exceeds the")
+            errors[cpus] = result.stderr
+        assert errors[2] == errors[1]
+        assert errors[2].startswith("Error: cell 1/4 coordinates,c9,3,off,knn: k=100000 "
+                                    "exceeds the")
 
     @pytest.mark.parametrize("worker, problem", [
-        ("_die_in_the_first_cell", "its grid worker stopped with exit code 3"),
-        ("_fail_knn_cells_last", "FineKnnSpec failed"),
-    ])
+        (_DIE_IN_THE_FIRST_CELL, "its grid worker stopped with exit code 3"),
+        (_FAIL_KNN_CELLS_LAST, "FineKnnSpec failed"),
+    ], ids=["dies", "fails"])
     def test_a_worker_failure_is_located_at_the_first_failing_cell(
             self, runner, dataset_file, tmp_path, monkeypatch, worker, problem):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(skelhar.cli, "_grid_worker", globals()[worker])
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(skelhar.cli, "_WORKER_ARGV", (sys.executable, "-c", worker))
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, ["grid", str(dataset_file), "--classifier", "knn,lda",
-                                      "--joints", "c9", "--jobs", "2", "-o", str(out)])
+                                      "--joints", "c9", "-o", str(out)])
         assert result.exit_code == 1
         assert result.stderr == f"Error: cell 1/2 coordinates,c9,3,off,knn: {problem}\n"
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+
+    def test_a_matrix_s_cells_start_longest_first(self, runner, dataset_file, tmp_path,
+                                                  monkeypatch):
+        def record(message, file):
+            sent.append(type(message[0].classifier).__name__[:4])
+            dump(message, file)
+
+        sent, dump = [], pickle.dump
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(skelhar.cli, "_WORKER_ARGV",
+                            (sys.executable, "-c", _KNN_SLOW_LDA_LONG))
+        monkeypatch.setattr(pickle, "dump", record)
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, ["grid", str(dataset_file), "--modality",
+                                      "coordinates,velocity,acceleration",
+                                      "--classifier", "knn,lda", "--joints", "c9",
+                                      "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        # the first matrix in table order; the second when only LDA has been
+        # timed, so the untimed k-NN goes first; the third by the times
+        assert sent == ["Fine", "Line", "Fine", "Line", "Line", "Fine"]
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["knn", "lda"] * 3
 
     def test_ctrl_c_ends_every_worker(self, runner, dataset_file, tmp_path, monkeypatch):
-        def interrupt(conns, timeout=None):
+        def interrupt(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(multiprocessing.connection, "wait", interrupt)
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(skelhar.cli.select, "select", interrupt)
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, ["grid", str(dataset_file), "--classifier", "knn,lda",
-                                      "--joints", "c9", "--jobs", "2", "-o", str(out)])
+                                      "--joints", "c9", "-o", str(out)])
         assert result.exit_code == 1
         assert "Aborted!" in result.stderr
         assert not out.exists()
-        assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("jobs, cells, cpus, expected", [
-        (1, 24, 2, (1, 2)),
-        (2, 24, 2, (2, 1)),
-        (10**12, 24, 2, (2, 1)),
-        (10**12, 3, 64, (3, 21)),
-        (10**12, 1, 64, (1, 64)),
-        (4, 24, 1, (1, 1)),
-        (3, 24, 8, (3, 2)),
+    @pytest.mark.parametrize("cells, cpus, expected", [
+        (24, 2, (2, 1)),
+        (24, 1, (1, 1)),
+        (24, 8, (8, 1)),
+        (3, 64, (3, 21)),
+        (1, 64, (1, 64)),
+        (10**12, 10**6, (10**6, 1)),
+        (7, 10**30, (7, 10**30 // 7)),
     ])
-    def test_workers_are_capped_at_the_cpus_and_the_cells(self, jobs, cells, cpus, expected):
-        assert _plan_workers(jobs, cells, cpus) == expected
+    def test_workers_are_capped_at_the_cpus_and_the_cells(self, cells, cpus, expected):
+        assert _plan_workers(cells, cpus) == expected
 
-    def test_a_huge_jobs_value_on_one_cell_starts_no_process(self, runner, dataset_file,
-                                                             tmp_path, monkeypatch):
-        def refuse(process):
+    def test_one_cell_starts_no_process(self, runner, dataset_file, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
             raise AssertionError("grid started a process")
 
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        _use_cpus(monkeypatch, 64)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, ["grid", str(dataset_file), "--joints", "c9",
                                       "--classifier", "lda", "--jobs", str(10**30),
@@ -448,6 +485,7 @@ class TestGrid:
         def refuse(thread):
             raise AssertionError(f"grid started thread {thread.name}")
 
+        _use_cpus(monkeypatch, 2)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, ["grid", str(dataset_file), "--modality",
@@ -510,6 +548,8 @@ class TestGrid:
         def broken_trainer(spec, x, y):
             raise ValueError("the tree trainer broke")
 
+        # the trainer is broken in this process only, so the cells run here
+        _use_cpus(monkeypatch, 1)
         monkeypatch.setitem(skelhar.classifiers._TRAINERS, FineTreeSpec, broken_trainer)
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, ["grid", str(dataset_file), "--classifier", "knn,tree",
