@@ -194,4 +194,7 @@ def train_mlp(spec: MlpSpec, x: np.ndarray, y: np.ndarray) -> MlpModel:
             _backprop(params, grads, batch_x, target, buffers)
             grad *= spec.learning_rate
             weights -= grad
+    if not np.isfinite(weights).all():
+        raise RuntimeError(f"MLP training diverged to non-finite weights at learning rate "
+                           f"{spec.learning_rate!r} (--lr); a smaller one may converge")
     return MlpModel(spec, weights, n_in, class_set)

@@ -10,6 +10,10 @@ and StratifyBy enums, features.SUBSETS and FAMILIES; their defaults are the
 flat form of a default-built PipelineConfig; and the dataclasses check
 every bound, with a HyperparameterError reported as a usage error that
 names the flag.
+
+grid has one scheduler, _run_cells. It runs the cells in worker processes
+(skelhar.gridworker), or on one CPU in this process, and either way each
+cell through gridworker.run_cell.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import pickle
 import select
 import subprocess
 import sys
-import time
 from pathlib import Path
 from typing import BinaryIO
 
@@ -53,6 +56,7 @@ from .evaluation import (
     run_matrix_experiment,
 )
 from .features import SUBSETS, Modality, parse_subset
+from .gridworker import run_cell
 
 CLASSIFIER_NAMES = tuple(family.name for family in FAMILIES)
 _FAMILIES = {family.name: family for family in FAMILIES}
@@ -222,8 +226,16 @@ def _read_config_file(path: str | None) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise click.UsageError(f"config file {path} does not exist")
+    try:
+        data = p.read_bytes()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise click.UsageError(f"config file {path} cannot be read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line_no = data[:exc.start].count(b"\n") + 1
+        raise click.UsageError(f"{path}:{line_no}: not UTF-8 text") from None
     values: dict[str, str] = {}
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -348,28 +360,6 @@ def _matrix_key(config: PipelineConfig) -> tuple:
     return config.modality, config.subset.joints, config.dims
 
 
-def _cell_failed(cells: list[PipelineConfig], n: int, problem) -> click.ClickException:
-    return click.ClickException(f"cell {n + 1}/{len(cells)} {_cell_name(cells[n])}: {problem}")
-
-
-def _run_cells(cells, dataset: str, report) -> None:
-    """Run the cells in table order in this process, one matrix alive at a time."""
-    manifest = read_dataset(dataset)
-    matrix_key, matrix = None, None
-    for n, config in enumerate(cells):
-        start = time.perf_counter()
-        try:
-            key = _matrix_key(config)
-            if key != matrix_key:
-                matrix = None  # drop the last matrix before building the next
-                matrix, matrix_key = config.feature_matrix(manifest), key
-            result = run_matrix_experiment(config, matrix)
-        except (ValueError, RuntimeError) as exc:
-            raise _cell_failed(cells, n, exc) from exc
-        report(n, result.cv_report.overall_accuracy, result.report.overall_accuracy,
-               time.perf_counter() - start)
-
-
 # set in a grid worker's environment to its share of the CPUs
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # how a grid worker starts; a test may substitute another program
@@ -406,10 +396,13 @@ def _worker_stopped(worker: subprocess.Popen) -> str:
     return f"its grid worker stopped with exit code {worker.wait()}"
 
 
-def _run_cells_in_workers(cells, dataset: str, report, n_workers: int,
-                          blas_threads: int) -> None:
-    """Run the cells in `n_workers` worker processes (skelhar.gridworker)
-    with `blas_threads` BLAS threads each, and report them in table order.
+def _run_cells(cells, dataset: str, report, n_workers: int, blas_threads: int) -> None:
+    """Run the cells on `n_workers` workers and report them in table order.
+
+    A worker is a process (skelhar.gridworker) with `blas_threads` BLAS
+    threads. One worker is this process instead: a slot stands in for the
+    worker's pipe, and reading its reply runs the cell here through
+    gridworker.run_cell, so that one schedule serves every CPU count.
 
     This process builds each matrix once and sends it to a worker only when
     the worker's last cell used another. A matrix's cells start longest
@@ -422,14 +415,14 @@ def _run_cells_in_workers(cells, dataset: str, report, n_workers: int,
     """
     workers: dict[BinaryIO, subprocess.Popen] = {}  # by the pipe it replies on
     try:
-        for _ in range(n_workers):
+        for _ in range(n_workers if n_workers > 1 else 0):
             worker = _start_worker(blas_threads)
             workers[worker.stdout] = worker
         manifest = read_dataset(dataset)  # while the workers start
         outcomes: dict[int, tuple | str] = {}
-        busy: dict[BinaryIO, int] = {}  # worker -> the cell it runs
-        held: dict[BinaryIO, tuple] = {}  # worker -> the key of its last matrix
-        idle = list(workers)
+        busy: dict[BinaryIO | None, int] = {}  # worker -> the cell it runs
+        held: dict[BinaryIO | None, tuple] = {}  # worker -> the key of its last matrix
+        idle: list[BinaryIO | None] = list(workers) or [None]  # None: the in-process slot
         took: dict[tuple, float] = {}  # (pca, classifier) -> seconds of its last cell
         queue: list[int] = []  # the current matrix's cells that have not started
         matrix_key, matrix = None, None
@@ -453,19 +446,22 @@ def _run_cells_in_workers(cells, dataset: str, report, n_workers: int,
                     queued = end
                 pipe, n = idle.pop(), queue.pop(0)
                 try:
-                    pickle.dump((cells[n], None if held.get(pipe) == matrix_key else matrix),
-                                workers[pipe].stdin)
-                    workers[pipe].stdin.flush()
+                    if pipe is not None:  # the in-process slot runs its cell when read
+                        pickle.dump((cells[n], None if held.get(pipe) == matrix_key
+                                     else matrix), workers[pipe].stdin)
+                        workers[pipe].stdin.flush()
                 except OSError:  # the worker has died
                     outcomes[n], stop = _worker_stopped(workers[pipe]), min(stop, n)
                     break
                 held[pipe], busy[pipe] = matrix_key, n
             if not busy:
                 break
-            for pipe in select.select(list(busy), [], [])[0]:
+            # the in-process slot is always ready, and as it is the only
+            # worker, no other matrix has been built since its cell was sent
+            for pipe in select.select(list(busy), [], [])[0] if workers else list(busy):
                 n = busy.pop(pipe)
                 try:
-                    outcomes[n] = pickle.load(pipe)
+                    outcomes[n] = run_cell(cells[n], matrix) if pipe is None else pickle.load(pipe)
                     idle.append(pipe)
                 except (EOFError, pickle.UnpicklingError):
                     outcomes[n] = _worker_stopped(workers[pipe])
@@ -480,7 +476,8 @@ def _run_cells_in_workers(cells, dataset: str, report, n_workers: int,
             # a cell before the first failure goes unrun only when every
             # worker has died
             first = min(n for n, outcome in outcomes.items() if isinstance(outcome, str))
-            raise _cell_failed(cells, first, outcomes[first])
+            raise click.ClickException(
+                f"cell {first + 1}/{len(cells)} {_cell_name(cells[first])}: {outcomes[first]}")
     finally:
         # a worker holds nothing to save, and ending it spares the wait for
         # its interpreter to shut down
@@ -506,9 +503,9 @@ def grid(dataset, output, config_path, **flags):
 
     The axes --modality, --joints, --dims, --pca, and --classifier accept
     comma-separated value lists; all other parameters are fixed across the
-    grid. The cells run in worker processes, one per usable CPU (at most
-    one per cell), that share the CPUs' BLAS threads; on one CPU they run
-    in this process. Rows are in table order (modality outermost,
+    grid. The cells run on one worker per usable CPU (at most one per
+    cell): worker processes that share the CPUs' BLAS threads, or, for one
+    worker, this process. Rows are in table order (modality outermost,
     classifier innermost), and each cell reports on stderr in that order
     as it finishes; the table is written once every cell has succeeded.
     """
@@ -525,10 +522,7 @@ def grid(dataset, output, config_path, **flags):
                    f"{validation:.3f}, {seconds:.2f} s", err=True)
 
     try:
-        if workers == 1:
-            _run_cells(cells, dataset, report)
-        else:
-            _run_cells_in_workers(cells, dataset, report, workers, blas_threads)
+        _run_cells(cells, dataset, report, workers, blas_threads)
         write_lines(output, ",".join(_GRID_AXES) + ",cv_accuracy,validation_accuracy", rows)
     except (ValueError, OSError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc

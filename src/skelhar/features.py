@@ -32,6 +32,7 @@ from .skeleton import (
     N_JOINTS,
     ActivitySequence,
     JointId,
+    head_neck_length,
 )
 
 C9_JOINTS = (
@@ -267,10 +268,7 @@ def normalize_posture(joint_vectors: np.ndarray, subset: JointSubset, dims: int,
     selected = joint_vectors[..., idx, :dims]
     if modality is Modality.COORDINATES:
         head = joint_vectors[..., JointId.Head, :]
-        reference = joint_vectors[..., JointId.Neck, :] - head
-        # sqrt of the batched dot product is bit-identical to np.linalg.norm
-        # of one 3-vector; norm(axis=-1) rounds differently
-        ref = np.sqrt(reference[..., None, :] @ reference[..., :, None])[..., 0, 0]
+        ref = head_neck_length(joint_vectors)
         if (ref == 0.0).any():
             raise ValueError("Head and Neck coincide: normalization reference is degenerate")
         selected = (selected - head[..., None, :dims]) / ref[..., None, None]

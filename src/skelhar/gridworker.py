@@ -1,13 +1,13 @@
-"""A grid worker process: runs the cells that `skelhar grid` sends it.
+"""A grid cell's run, and the worker process that runs cells for `skelhar grid`.
 
-`python -m skelhar.gridworker` reads pickled (config, matrix) requests on
-stdin until stdin closes, and answers each on its stdout with
-(cv accuracy, validation accuracy, seconds), or with the error text of a
-cell whose experiment raised. matrix is None for a cell that uses the
-worker's last matrix. It imports the package but not the CLI, and it is a
-plain subprocess: a `multiprocessing` spawn child would also import the
-parent's main module and start a resource-tracker process, which made it
-start about 0.15 s later on a 2-core machine.
+run_cell is the only code that runs and times a cell; on one CPU `skelhar
+grid` calls it in its own process. `python -m skelhar.gridworker` reads
+pickled (config, matrix) requests on stdin until stdin closes, and answers
+each on its stdout with run_cell's outcome; matrix is None for a cell that
+uses the worker's last matrix. It imports the package but not the CLI, and
+it is a plain subprocess: a `multiprocessing` spawn child would also import
+the parent's main module and start a resource-tracker process, which made
+it start about 0.15 s later on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -18,7 +18,20 @@ import sys
 import time
 from typing import BinaryIO
 
-from .evaluation import run_matrix_experiment
+from .evaluation import PipelineConfig, run_matrix_experiment
+from .features import FeatureMatrix
+
+
+def run_cell(config: PipelineConfig, matrix: FeatureMatrix) -> tuple[float, float, float] | str:
+    """(cv accuracy, validation accuracy, seconds) of one cell's experiment,
+    or the error text of a cell whose experiment raised."""
+    start = time.perf_counter()
+    try:
+        result = run_matrix_experiment(config, matrix)
+    except (ValueError, RuntimeError) as exc:
+        return str(exc)
+    return (result.cv_report.overall_accuracy, result.report.overall_accuracy,
+            time.perf_counter() - start)
 
 
 def serve(requests: BinaryIO, replies: BinaryIO) -> None:
@@ -31,14 +44,7 @@ def serve(requests: BinaryIO, replies: BinaryIO) -> None:
             return
         if sent is not None:
             matrix = sent
-        start = time.perf_counter()
-        try:
-            result = run_matrix_experiment(config, matrix)
-            reply = (result.cv_report.overall_accuracy, result.report.overall_accuracy,
-                     time.perf_counter() - start)
-        except (ValueError, RuntimeError) as exc:
-            reply = str(exc)
-        pickle.dump(reply, replies)
+        pickle.dump(run_cell(config, matrix), replies)
         replies.flush()
 
 

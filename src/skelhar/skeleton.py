@@ -159,6 +159,17 @@ class ValidationResult:
         return not self.violations
 
 
+def head_neck_length(joint_vectors: np.ndarray) -> np.ndarray:
+    """The Head-Neck distance of each (..., 28, 3) frame: the normalization
+    reference, 0 where the two joints coincide.
+
+    sqrt of the batched dot product is bit-identical to np.linalg.norm of
+    one 3-vector; norm(axis=-1) rounds differently.
+    """
+    reference = joint_vectors[..., JointId.Neck, :] - joint_vectors[..., JointId.Head, :]
+    return np.sqrt(reference[..., None, :] @ reference[..., :, None])[..., 0, 0]
+
+
 def validate_sequence(seq: ActivitySequence) -> ValidationResult:
     """Check every sequence invariant and report all violations found.
 
@@ -191,8 +202,7 @@ def validate_sequence(seq: ActivitySequence) -> ValidationResult:
     bad_joints = ~np.isfinite(frames).all(axis=2)
     non_finite = bad_joints.any(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
-        reference = frames[:, JointId.Neck] - frames[:, JointId.Head]
-        coincide = (reference[:, None, :] @ reference[:, :, None])[:, 0, 0] == 0.0
+        coincide = head_neck_length(frames) == 0.0
 
     for t in np.flatnonzero(not_increasing | non_finite | coincide).tolist():
         frame_index = int(index[t])

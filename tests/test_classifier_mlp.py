@@ -76,6 +76,17 @@ def test_training_is_deterministic_and_learns_blobs():
     assert np.mean(a.predict(x) == y) > 0.95
 
 
+def test_diverging_training_is_a_runtime_error_naming_the_learning_rate():
+    rng = np.random.default_rng(2)
+    x = np.concatenate([rng.normal([-2, 0], 0.4, (40, 2)),
+                        rng.normal([2, 0], 0.4, (40, 2))])
+    y = np.array([1] * 40 + [4] * 40)
+    spec = MlpSpec(hidden_width=16, epochs=5, learning_rate=1e300, seed=9)
+    with pytest.raises(RuntimeError, match=r"non-finite weights at learning rate 1e\+300 "
+                                           r"\(--lr\)"), np.errstate(all="ignore"):
+        train_mlp(spec, x, y)
+
+
 def test_serialization_round_trip():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(30, 3))

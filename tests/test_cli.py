@@ -281,6 +281,15 @@ class TestEvaluate:
         assert result.exit_code == 2, result.output
         assert flag in result.output
 
+    def test_diverging_mlp_exits_1_and_writes_no_bundle(self, runner, dataset_file,
+                                                        tmp_path):
+        out = tmp_path / "mlp"
+        result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", "mlp",
+                                      "--lr", "1e6", "--joints", "c9", "-o", str(out)])
+        assert result.exit_code == 1
+        assert "non-finite weights at learning rate 1000000.0 (--lr)" in result.stderr
+        assert not out.exists()
+
     def test_show_report(self, runner, dataset_file, tmp_path):
         out = tmp_path / "rep"
         assert runner.invoke(main, ["evaluate", str(dataset_file), "--joints", "c9",
@@ -459,18 +468,28 @@ class TestGrid:
     def test_workers_are_capped_at_the_cpus_and_the_cells(self, cells, cpus, expected):
         assert _plan_workers(cells, cpus) == expected
 
-    def test_one_cell_starts_no_process(self, runner, dataset_file, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus, axes", [
+        (64, ["--classifier", "lda"]),
+        (1, ["--modality", "coordinates,velocity", "--classifier", "knn,lda"]),
+    ], ids=["one-cell", "one-cpu"])
+    def test_one_cell_starts_no_process(self, runner, dataset_file, tmp_path, monkeypatch,
+                                        cpus, axes):
+        # one cell, or one CPU, runs the cells in this process's slot
         def refuse(*args, **kwargs):
             raise AssertionError("grid started a process")
 
-        _use_cpus(monkeypatch, 64)
+        _use_cpus(monkeypatch, cpus)
         monkeypatch.setattr(subprocess, "Popen", refuse)
         out = tmp_path / "grid.csv"
-        result = runner.invoke(main, ["grid", str(dataset_file), "--joints", "c9",
-                                      "--classifier", "lda", "--jobs", str(10**30),
-                                      "-o", str(out)])
+        result = runner.invoke(main, ["grid", str(dataset_file), "--joints", "c9", *axes,
+                                      "--jobs", str(10**30), "-o", str(out)])
         assert result.exit_code == 0, result.output
-        assert len(out.read_text().splitlines()) == 1 + 1
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == (1 if cpus > 1 else 4)
+        # one stderr line per cell, in table order, after --jobs's deprecation
+        assert [line.split(":")[0] for line in result.stderr.splitlines()[1:]] == [
+            f"cell {n}/{len(rows)} {','.join(row.split(',')[:5])}"
+            for n, row in enumerate(rows, 1)]
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
     def test_jobs_must_be_a_positive_integer(self, runner, dataset_file, tmp_path, jobs):
@@ -615,12 +634,22 @@ class TestConfigFile:
         assert result.exit_code == 0
         assert len(out_file2.read_text().splitlines()) == 1 + 18 * 51  # overridden
 
-    def test_unknown_key_is_usage_error(self, runner, dataset_file, tmp_path):
+    @pytest.mark.parametrize("content, problem", [
+        (b"modalities=velocity\n", "bad.cfg:1: unknown config key 'modalities'"),
+        (None, "bad.cfg cannot be read: Is a directory"),
+        (b"seed=5\n# caf\xe9\n", "bad.cfg:2: not UTF-8 text"),
+    ], ids=["unknown-key", "directory", "not-utf-8"])
+    def test_unknown_key_is_usage_error(self, runner, dataset_file, tmp_path, content,
+                                        problem):
         config = tmp_path / "bad.cfg"
-        config.write_text("modalities=velocity\n")
+        if content is None:
+            config.mkdir()
+        else:
+            config.write_bytes(content)
         result = runner.invoke(main, ["extract", str(dataset_file), "--config",
                                       str(config), "-o", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
+        assert problem in result.output
 
     def test_round_trip_is_lossless(self):
         configs = [
