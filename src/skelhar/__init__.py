@@ -5,7 +5,21 @@ dataset I/O and synthetic motion generation, head-referenced posture
 feature extraction over coordinate/velocity/acceleration modalities, PCA
 with explained-variance selection, six classical classifiers, and a
 split/cross-validation evaluation harness with reproducible report bundles.
+
+Importing the package runs BLAS on one thread per process, unless the user
+set a thread count: the variables are set before anything imports numpy,
+whose OpenBLAS reads them once, when it loads. An unset variable takes the
+first count the user set, so that OpenBLAS, which reads its own variable
+first, keeps a count given only as OMP_NUM_THREADS. The commands' worker
+processes share the CPUs instead (skelhar.gridworker).
 """
+
+import os
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_count = next((os.environ[name] for name in _BLAS_THREADS if name in os.environ), "1")
+for _name in _BLAS_THREADS:
+    os.environ.setdefault(_name, _count)
 
 from .classifiers import (
     BaggedTreesSpec,

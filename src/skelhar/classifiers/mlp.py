@@ -186,14 +186,17 @@ def train_mlp(spec: MlpSpec, x: np.ndarray, y: np.ndarray) -> MlpModel:
               tuple(b[:min(BATCH_SIZE, n - start)] for b in full))
              for start in range(0, n, BATCH_SIZE)]
     shuffle_rng = np.random.default_rng([spec.seed, 0])
-    for _ in range(spec.epochs):
-        order = shuffle_rng.permutation(n)
-        np.take(x, order, axis=0, out=shuffled_x)
-        np.take(onehot, order, axis=0, out=shuffled_target)
-        for batch_x, target, buffers in steps:
-            _backprop(params, grads, batch_x, target, buffers)
-            grad *= spec.learning_rate
-            weights -= grad
+    # a diverging run overflows to inf and NaN; the error below says so, in
+    # place of numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(spec.epochs):
+            order = shuffle_rng.permutation(n)
+            np.take(x, order, axis=0, out=shuffled_x)
+            np.take(onehot, order, axis=0, out=shuffled_target)
+            for batch_x, target, buffers in steps:
+                _backprop(params, grads, batch_x, target, buffers)
+                grad *= spec.learning_rate
+                weights -= grad
     if not np.isfinite(weights).all():
         raise RuntimeError(f"MLP training diverged to non-finite weights at learning rate "
                            f"{spec.learning_rate!r} (--lr); a smaller one may converge")

@@ -11,22 +11,20 @@ flat form of a default-built PipelineConfig; and the dataclasses check
 every bound, with a HyperparameterError reported as a usage error that
 names the flag.
 
-grid has one scheduler, _run_cells. It runs the cells in worker processes
-(skelhar.gridworker), or on one CPU in this process, and either way each
-cell through gridworker.run_cell.
+grid has one scheduler, _run_cells. It runs the cells in forked worker
+processes (skelhar.gridworker), or on one CPU in this process, and either
+way each cell through gridworker.run_cell. evaluate runs its CV folds on
+forked fold workers beside its final fit (run_matrix_experiment).
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
 import os
 import pickle
 import select
-import subprocess
-import sys
 from pathlib import Path
 from typing import BinaryIO
 
@@ -56,7 +54,7 @@ from .evaluation import (
     run_matrix_experiment,
 )
 from .features import SUBSETS, Modality, parse_subset
-from .gridworker import run_cell
+from .gridworker import Worker, fork_worker, run_cell, serve
 
 CLASSIFIER_NAMES = tuple(family.name for family in FAMILIES)
 _FAMILIES = {family.name: family for family in FAMILIES}
@@ -312,14 +310,21 @@ def extract(dataset, output, config_path, **flags):
               help="report bundle directory")
 @_pipeline_options
 def evaluate(dataset, output, config_path, **flags):
-    """Run one experiment and persist its report bundle."""
+    """Run one experiment and persist its report bundle.
+
+    The cross-validation folds run on forked worker processes, one per
+    usable CPU beyond the first, while this process runs the final fit.
+    """
     values = _resolve(config_path, **flags)
     config = build_config(values)
+    # the final fit and the folds are the tasks; this process is one worker
+    workers = _plan_workers(config.folds + 1, _usable_cpus())
     try:
         # read_dataset has already validated every sequence: skip
         # run_experiment's check, which serves direct API callers
         matrix = config.feature_matrix(read_dataset(dataset))
-        result = run_matrix_experiment(config, matrix, out_dir=output)
+        result = run_matrix_experiment(config, matrix, out_dir=output,
+                                       fold_workers=workers - 1)
     except (ValueError, OSError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"validation accuracy: {result.report.overall_accuracy:.4f}")
@@ -360,49 +365,37 @@ def _matrix_key(config: PipelineConfig) -> tuple:
     return config.modality, config.subset.joints, config.dims
 
 
-# set in a grid worker's environment to its share of the CPUs
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# how a grid worker starts; a test may substitute another program
-_WORKER_ARGV = (sys.executable, "-m", "skelhar.gridworker")
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _plan_workers(cells: int, cpus: int) -> tuple[int, int]:
-    """(worker processes, BLAS threads per worker) for `cells` cells on
-    `cpus` usable CPUs. One worker means the cells run in the calling
-    process."""
-    workers = max(1, min(cells, cpus))
-    return workers, max(1, cpus // workers)
+def _plan_workers(tasks: int, cpus: int) -> int:
+    """Worker processes for `tasks` tasks on `cpus` usable CPUs, each given
+    as many CPUs as it runs BLAS threads (see skelhar/__init__.py). One worker means the tasks run in the calling
+    process, as they do where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        blas_threads = max(1, int(os.environ.get("OPENBLAS_NUM_THREADS", "1")))
+    except ValueError:
+        blas_threads = 1
+    return max(1, min(tasks, cpus // blas_threads))
 
 
-def _start_worker(blas_threads: int) -> subprocess.Popen:
-    """A grid worker that imports this copy of the package and runs BLAS on
-    `blas_threads` threads. It has a session of its own, so Ctrl-C reaches
-    only this process, which ends its workers."""
-    path = [str(Path(__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, str(blas_threads)),
-           "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.Popen(_WORKER_ARGV, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            env=env, start_new_session=True)
-
-
-def _worker_stopped(worker: subprocess.Popen) -> str:
+def _worker_stopped(worker: Worker) -> str:
     """A cell's error text when its worker died before it replied."""
     return f"its grid worker stopped with exit code {worker.wait()}"
 
 
-def _run_cells(cells, dataset: str, report, n_workers: int, blas_threads: int) -> None:
+def _run_cells(cells, dataset: str, report, n_workers: int) -> None:
     """Run the cells on `n_workers` workers and report them in table order.
 
-    A worker is a process (skelhar.gridworker) with `blas_threads` BLAS
-    threads. One worker is this process instead: a slot stands in for the
-    worker's pipe, and reading its reply runs the cell here through
-    gridworker.run_cell, so that one schedule serves every CPU count.
+    A worker is a forked process (gridworker.serve). One worker is this
+    process instead: a slot stands in for the worker's pipe, and reading its
+    reply runs the cell here through gridworker.run_cell, so that one
+    schedule serves every CPU count.
 
     This process builds each matrix once and sends it to a worker only when
     the worker's last cell used another. A matrix's cells start longest
@@ -413,12 +406,12 @@ def _run_cells(cells, dataset: str, report, n_workers: int, blas_threads: int) -
     order is the one named. Every worker is ended and waited for on the way
     out.
     """
-    workers: dict[BinaryIO, subprocess.Popen] = {}  # by the pipe it replies on
+    workers: dict[BinaryIO, Worker] = {}  # by the pipe it replies on
     try:
         for _ in range(n_workers if n_workers > 1 else 0):
-            worker = _start_worker(blas_threads)
-            workers[worker.stdout] = worker
-        manifest = read_dataset(dataset)  # while the workers start
+            worker = fork_worker(serve)
+            workers[worker.replies] = worker
+        manifest = read_dataset(dataset)  # after the forks: no worker copies it
         outcomes: dict[int, tuple | str] = {}
         busy: dict[BinaryIO | None, int] = {}  # worker -> the cell it runs
         held: dict[BinaryIO | None, tuple] = {}  # worker -> the key of its last matrix
@@ -448,8 +441,8 @@ def _run_cells(cells, dataset: str, report, n_workers: int, blas_threads: int) -
                 try:
                     if pipe is not None:  # the in-process slot runs its cell when read
                         pickle.dump((cells[n], None if held.get(pipe) == matrix_key
-                                     else matrix), workers[pipe].stdin)
-                        workers[pipe].stdin.flush()
+                                     else matrix), workers[pipe].requests)
+                        workers[pipe].requests.flush()
                 except OSError:  # the worker has died
                     outcomes[n], stop = _worker_stopped(workers[pipe]), min(stop, n)
                     break
@@ -479,15 +472,8 @@ def _run_cells(cells, dataset: str, report, n_workers: int, blas_threads: int) -
             raise click.ClickException(
                 f"cell {first + 1}/{len(cells)} {_cell_name(cells[first])}: {outcomes[first]}")
     finally:
-        # a worker holds nothing to save, and ending it spares the wait for
-        # its interpreter to shut down
         for worker in workers.values():
-            with contextlib.suppress(OSError):  # unsent bytes to a dead worker
-                worker.stdin.close()
-            worker.terminate()
-        for worker in workers.values():
-            worker.wait()
-            worker.stdout.close()
+            worker.end()
 
 
 @main.command()
@@ -504,15 +490,15 @@ def grid(dataset, output, config_path, **flags):
     The axes --modality, --joints, --dims, --pca, and --classifier accept
     comma-separated value lists; all other parameters are fixed across the
     grid. The cells run on one worker per usable CPU (at most one per
-    cell): worker processes that share the CPUs' BLAS threads, or, for one
-    worker, this process. Rows are in table order (modality outermost,
-    classifier innermost), and each cell reports on stderr in that order
-    as it finishes; the table is written once every cell has succeeded.
+    cell): forked worker processes, or, for one worker, this process. Rows
+    are in table order (modality outermost, classifier innermost), and each
+    cell reports on stderr in that order as it finishes; the table is
+    written once every cell has succeeded.
     """
     values = _resolve(config_path, **flags)
     cells = [build_config({**values, **dict(zip(_GRID_AXES, combo))})
              for combo in itertools.product(*(_grid_axis(values, key) for key in _GRID_AXES))]
-    workers, blas_threads = _plan_workers(len(cells), _usable_cpus())
+    workers = _plan_workers(len(cells), _usable_cpus())
     rows = []
 
     def report(n: int, cv: float, validation: float, seconds: float) -> None:
@@ -522,7 +508,7 @@ def grid(dataset, output, config_path, **flags):
                    f"{validation:.3f}, {seconds:.2f} s", err=True)
 
     try:
-        _run_cells(cells, dataset, report, workers, blas_threads)
+        _run_cells(cells, dataset, report, workers)
         write_lines(output, ",".join(_GRID_AXES) + ",cv_accuracy,validation_accuracy", rows)
     except (ValueError, OSError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc

@@ -7,6 +7,11 @@ touched exactly once, by the final model, and produces the headline report.
 PCA, when enabled, is fitted on the train partition only. report.json
 labels which protocol produced each number.
 
+`run_matrix_experiment` runs an experiment's fits as tasks: the final fit,
+scored on the validation rows, and one fit per CV fold. The folds can run
+on forked fold workers (`_FoldTasks`) beside the final fit and the bundle
+write; grid cells and library callers run every fit in process.
+
 `write_json` streams the bundle's JSON files in the stdlib's
 indent=2, sort_keys layout: flat lists go through the C encoder in one
 call, and a list object shared by several parents (the SVM's row lists)
@@ -15,11 +20,16 @@ is formatted once.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import itertools
 import json
 import math
+import os
+import pickle
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +43,7 @@ from .classifiers import (
 from .classifiers.base import check_integers
 from .dataset import DatasetManifest, format_sig9, write_lines
 from .features import FeatureMatrix, JointSubset, Modality, build_feature_matrix
+from .gridworker import fork_worker
 from .pca import PcaModel, pca_fit, pca_transform
 from .skeleton import N_CLASSES, STATIONARY_LABELS, validate_sequence
 
@@ -244,17 +255,113 @@ def cross_validate(spec: ClassifierSpec, matrix: FeatureMatrix, folds: int = 5,
         if not sizes.all():
             raise ValueError(f"fold_assignment leaves fold {np.argmin(sizes)} empty")
 
-    predictions = np.empty(matrix.n_rows, dtype=np.int64)
-    fold_accuracies = []
-    for f in range(folds):
-        held = np.nonzero(fold_assignment == f)[0]
-        rest = np.nonzero(fold_assignment != f)[0]
-        model = train_arrays(spec, matrix.rows[rest], matrix.labels[rest])
-        pred = model.predict(matrix.rows[held])
-        predictions[held] = pred
-        fold_accuracies.append(float(np.mean(pred == matrix.labels[held])))
+    with _FoldTasks(spec, matrix, fold_assignment, folds) as tasks:
+        return _cv_report(matrix.labels, fold_assignment, tasks.collect())
 
-    return compute_report(matrix.labels, predictions, tuple(fold_accuracies))
+
+def _cv_report(labels: np.ndarray, assignment: np.ndarray,
+               fold_predictions: list[np.ndarray]) -> EvalReport:
+    """The out-of-fold report from every fold's predictions, in fold order."""
+    predictions = np.empty(len(labels), dtype=np.int64)
+    fold_accuracies = []
+    for f, pred in enumerate(fold_predictions):
+        held = np.nonzero(assignment == f)[0]
+        predictions[held] = pred
+        fold_accuracies.append(float(np.mean(pred == labels[held])))
+    return compute_report(labels, predictions, tuple(fold_accuracies))
+
+
+class _FoldTasks:
+    """The CV folds of one experiment as fit tasks, run by this process and
+    by the fold workers that `fork` starts.
+
+    The fold numbers wait in one pipe, which every worker and this process
+    read, so a worker takes the next fold when it is free, and this process
+    runs the folds left once its own fits are done (collect). A worker
+    announces each fold it takes, then replies with the fold's predictions
+    or its error; it reads no requests. After a failure a process takes no
+    more folds: a later fold cannot change the error raised. Folds beyond
+    the 4 KB that a new pipe holds stay with this process.
+    """
+
+    _BYTES = 4  # of a fold number in the pipe
+
+    def __init__(self, spec: ClassifierSpec, matrix: FeatureMatrix, assignment: np.ndarray,
+                 folds: int):
+        self.spec, self.matrix, self.assignment, self.folds = spec, matrix, assignment, folds
+        self.workers = []
+        self.queue, write = os.pipe()
+        queued = min(folds, 4096 // self._BYTES)
+        os.write(write, b"".join(f.to_bytes(self._BYTES, "little") for f in range(queued)))
+        os.close(write)  # before any fork: an empty queue reads EOF
+        self.unqueued = range(queued, folds)
+
+    def __enter__(self) -> "_FoldTasks":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        os.close(self.queue)
+        for worker in self.workers:
+            worker.end()
+
+    def fork(self, workers: int) -> None:
+        for _ in range(workers):
+            self.workers.append(fork_worker(self._serve))
+
+    def _take(self):
+        """Fold numbers from the queue, until it is empty."""
+        while chunk := os.read(self.queue, self._BYTES):
+            yield int.from_bytes(chunk, "little")
+
+    def _outcome(self, fold: int) -> np.ndarray | Exception:
+        """The held-out rows' predictions of the model trained on the other
+        folds, or the error that raised."""
+        held = np.nonzero(self.assignment == fold)[0]
+        rest = np.nonzero(self.assignment != fold)[0]
+        try:
+            model = train_arrays(self.spec, self.matrix.rows[rest], self.matrix.labels[rest])
+            return model.predict(self.matrix.rows[held])
+        except (ValueError, RuntimeError) as exc:
+            return exc
+
+    def _serve(self, requests, replies) -> None:
+        """A fold worker."""
+        for fold in self._take():
+            pickle.dump(fold, replies)
+            replies.flush()
+            outcome = self._outcome(fold)
+            pickle.dump(outcome, replies)
+            replies.flush()
+            if isinstance(outcome, Exception):
+                return
+
+    def collect(self) -> list[np.ndarray]:
+        """Every fold's predictions, in fold order, once this process has run
+        the folds no worker started. Raise the lowest failing fold's error."""
+        outcomes: dict[int, np.ndarray | Exception] = {}
+        for fold in itertools.chain(self._take(), self.unqueued):
+            outcomes[fold] = self._outcome(fold)
+            if isinstance(outcomes[fold], Exception):
+                break
+        taken = {}  # fold -> the worker that announced it
+        for worker in self.workers:
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):  # it exited
+                while True:
+                    fold = pickle.load(worker.replies)
+                    taken[fold] = worker
+                    outcomes[fold] = pickle.load(worker.replies)
+            worker.wait()
+        predictions = []
+        for fold in range(self.folds):
+            outcome = outcomes.get(fold)
+            if outcome is None:  # its worker died, announced or not
+                worker = taken.get(fold) or next(w for w in self.workers if w.wait())
+                raise RuntimeError(f"fold {fold + 1}/{self.folds}: its fold worker stopped "
+                                   f"with exit code {worker.wait()}")
+            if isinstance(outcome, Exception):
+                raise outcome
+            predictions.append(outcome)
+        return predictions
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +450,19 @@ class ExperimentResult:
 
 
 def run_matrix_experiment(config: PipelineConfig, matrix: FeatureMatrix,
-                          out_dir: str | Path | None = None) -> ExperimentResult:
-    """The experiment core, starting from an extracted feature matrix."""
+                          out_dir: str | Path | None = None,
+                          fold_workers: int = 0) -> ExperimentResult:
+    """The experiment core, starting from an extracted feature matrix.
+
+    `fold_workers` forked processes run CV folds while this process runs
+    the final fit and writes every bundle file but report.json, under
+    temporary names (`<name>.tmp`); this process then runs the folds that
+    no worker has started. With no fold workers every fit runs here, in
+    the same order. The files are renamed into place only once every fit
+    has succeeded. A failure raises what running the fits in order raises:
+    the lowest failing fold's error, else the final fit's; it leaves no
+    bundle file and no worker.
+    """
     indices = split(matrix, config.split)
 
     pca_model = None
@@ -352,22 +470,49 @@ def run_matrix_experiment(config: PipelineConfig, matrix: FeatureMatrix,
         pca_model = pca_fit(matrix.rows[indices.train], config.pca.variance_threshold)
         matrix = matrix.with_rows(pca_transform(pca_model, matrix.rows))
 
-    pool = indices.pool
-    pool_matrix = matrix.take(pool)
-    cv_report = cross_validate(config.classifier, pool_matrix,
-                               folds=config.folds, seed=config.seed)
+    pool_matrix = matrix.take(indices.pool)
+    assignment = assign_folds(pool_matrix.labels, config.folds, config.seed)
+    truth = matrix.labels[indices.validation]
+    out = None if out_dir is None else Path(out_dir)
+    created = out is not None and not out.exists()
+    parts: dict[str, Path] = {}  # bundle file -> its temporary name
 
-    model = train_arrays(config.classifier, pool_matrix.rows, pool_matrix.labels)
-    val_rows = matrix.rows[indices.validation]
-    val_pred, val_scores = model.predict_with_scores(val_rows)
-    report = compute_report(matrix.labels[indices.validation], val_pred,
-                            cv_report.fold_accuracies)
+    def part(name: str) -> Path:
+        parts[name] = out / f"{name}.tmp"
+        return parts[name]
 
-    result = ExperimentResult(report, cv_report, model, pca_model, config, indices,
-                              val_scores,
-                              matrix.labels[indices.validation])
-    if out_dir is not None:
-        write_bundle(result, out_dir)
+    try:
+        with _FoldTasks(config.classifier, pool_matrix, assignment, config.folds) as folds:
+            folds.fork(fold_workers)
+            final_error = None
+            try:
+                model = train_arrays(config.classifier, pool_matrix.rows, pool_matrix.labels)
+                pred, scores = model.predict_with_scores(matrix.rows[indices.validation])
+                result = ExperimentResult(compute_report(truth, pred), None, model, pca_model,
+                                          config, indices, scores, truth)
+                if out is not None:
+                    out.mkdir(parents=True, exist_ok=True)
+                    _write_fit_files(result, part)
+            except (ValueError, RuntimeError, OSError) as exc:
+                final_error = exc
+            fold_predictions = folds.collect()
+        if final_error is not None:
+            raise final_error
+        cv_report = _cv_report(pool_matrix.labels, assignment, fold_predictions)
+        result = replace(result, cv_report=cv_report, report=replace(
+            result.report, fold_accuracies=cv_report.fold_accuracies))
+        if out is not None:
+            _write_report(result, part)
+            while parts:
+                name, path = parts.popitem()
+                os.replace(path, out / name)
+            created = False
+    finally:
+        for path in parts.values():
+            path.unlink(missing_ok=True)
+        if created:
+            with contextlib.suppress(OSError):
+                out.rmdir()
     return result
 
 
@@ -470,7 +615,12 @@ def write_bundle(result: ExperimentResult, out_dir: str | Path) -> None:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _write_fit_files(result, out.joinpath)
+    _write_report(result, out.joinpath)
 
+
+def _write_report(result: ExperimentResult, path: Callable[[str], Path]) -> None:
+    """report.json, to path("report.json")."""
     report = result.report.to_json_dict()
     report["protocol"] = {
         "metrics_source": "validation-holdout",
@@ -479,25 +629,28 @@ def write_bundle(result: ExperimentResult, out_dir: str | Path) -> None:
         ),
         "cv_overall_accuracy": result.cv_report.overall_accuracy,
     }
-    write_json(report, out / "report.json")
+    write_json(report, path("report.json"))
 
+
+def _write_fit_files(result: ExperimentResult, path: Callable[[str], Path]) -> None:
+    """The bundle files that need no cross-validation, each to path(name)."""
     classes = range(1, N_CLASSES + 1)
-    write_lines(out / "confusion.csv", "true\\pred," + ",".join(map(str, classes)),
+    write_lines(path("confusion.csv"), "true\\pred," + ",".join(map(str, classes)),
                 (f"{c}," + ",".join(map(str, row))
                  for c, row in zip(classes, result.report.confusion.tolist())))
 
     score_columns = np.zeros((result.validation_scores.shape[0], N_CLASSES))
     for j, label in enumerate(result.model.class_set):
         score_columns[:, int(label) - 1] = result.validation_scores[:, j]
-    write_lines(out / "scores.csv", "true_label," + ",".join(f"score_{c}" for c in classes),
+    write_lines(path("scores.csv"), "true_label," + ",".join(f"score_{c}" for c in classes),
                 (f"{truth},{scores}" for truth, scores
                  in zip(result.validation_truth, format_sig9(score_columns))))
 
-    write_json(result.config.to_json_dict(), out / "config.json")
+    write_json(result.config.to_json_dict(), path("config.json"))
     write_json(
         {
             "classifier": result.model.to_json_dict(),
             "pca": None if result.pca_model is None else result.pca_model.to_json_dict(),
         },
-        out / "model.json",
+        path("model.json"),
     )

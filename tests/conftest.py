@@ -1,5 +1,7 @@
 import os
 
+import skelhar  # before numpy, so that BLAS runs on one thread here as in the CLI
+
 import numpy as np
 import pytest
 

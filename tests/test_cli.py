@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import skelhar.classifiers
 import skelhar.cli
 import skelhar.dataset
 import skelhar.evaluation
+import skelhar.gridworker
 from skelhar import (
     BaggedTreesSpec,
     CubicSvmSpec,
@@ -59,36 +61,25 @@ def dataset_file(tmp_path_factory, runner):
     return path
 
 
-# grid worker programs that tests put in place of skelhar.gridworker
-_DIE_IN_THE_FIRST_CELL = "import sys; sys.stdin.buffer.read(1); sys.exit(3)"
-_FAIL_KNN_CELLS_LAST = """
-import pickle, sys, time
-while True:
-    try:
-        config, _ = pickle.load(sys.stdin.buffer)
-    except EOFError:
-        break
+# cells that tests run in place of gridworker.run_cell; the forked grid
+# workers inherit the patch
+def _die_in_the_first_cell(config, matrix):
+    os._exit(3)
+
+
+def _fail_knn_cells_last(config, matrix):
     name = type(config.classifier).__name__
     if name == "FineKnnSpec":
         time.sleep(0.5)
-    pickle.dump(f"{name} failed", sys.stdout.buffer)
-    sys.stdout.buffer.flush()
-"""
+    return f"{name} failed"
 
-# k-NN cells take 0.3 s and report 1 s; LDA cells report 2 s at once
-_KNN_SLOW_LDA_LONG = """
-import pickle, sys, time
-while True:
-    try:
-        config, _ = pickle.load(sys.stdin.buffer)
-    except EOFError:
-        break
+
+def _knn_slow_lda_long(config, matrix):
+    """k-NN cells take 0.3 s and report 1 s; LDA cells report 2 s at once."""
     knn = type(config.classifier).__name__ == "FineKnnSpec"
     if knn:
         time.sleep(0.3)
-    pickle.dump((0.5, 0.5, 1.0 if knn else 2.0), sys.stdout.buffer)
-    sys.stdout.buffer.flush()
-"""
+    return 0.5, 0.5, 1.0 if knn else 2.0
 
 
 def _use_cpus(monkeypatch, n):
@@ -96,13 +87,59 @@ def _use_cpus(monkeypatch, n):
     monkeypatch.setattr(skelhar.cli, "_usable_cpus", lambda: n)
 
 
-def _run_skelhar(args, blas_threads):
-    """Run the CLI in a fresh interpreter whose OpenBLAS uses `blas_threads`."""
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_env(**variables):
+    """This environment with the package's sources on the path and none of
+    the BLAS thread variables that `import skelhar` set here, plus
+    `variables`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return {**env, **variables}
+
+
+def _run_skelhar(args, blas_threads):
+    """Run the CLI in a fresh interpreter whose OpenBLAS uses `blas_threads`,
+    or, for None, the threads that `import skelhar` chooses."""
+    env = _fresh_env() if blas_threads is None else _fresh_env(
+        OPENBLAS_NUM_THREADS=blas_threads)
     subprocess.run([sys.executable, "-m", "skelhar", *args], env=env, check=True,
                    capture_output=True, timeout=120)
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    """The pids of the processes this process forks from now on."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _fold_workers_fit_with(monkeypatch, marker, in_worker, in_command=None):
+    """Patch the k-NN trainer: a fold worker touches `marker` and returns
+    in_worker(), and this process waits for the marker before its first fit
+    (the final one), so that a worker has taken fold 1 by then. This
+    process's fits then call in_command(), or train."""
+    command, train = os.getpid(), skelhar.classifiers._TRAINERS[FineKnnSpec]
+
+    def trainer(spec, x, y):
+        if os.getpid() != command:
+            marker.touch()
+            return in_worker()
+        deadline = time.monotonic() + 60
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return (in_command or train)(spec, x, y)
+
+    monkeypatch.setitem(skelhar.classifiers._TRAINERS, FineKnnSpec, trainer)
 
 
 class TestSynth:
@@ -288,6 +325,8 @@ class TestEvaluate:
                                       "--lr", "1e6", "--joints", "c9", "-o", str(out)])
         assert result.exit_code == 1
         assert "non-finite weights at learning rate 1000000.0 (--lr)" in result.stderr
+        # the error alone, without numpy's overflow warnings before it
+        assert len(result.stderr.splitlines()) == 1, result.stderr
         assert not out.exists()
 
     def test_show_report(self, runner, dataset_file, tmp_path):
@@ -328,6 +367,99 @@ class TestEvaluate:
             bundles.append({path.name: path.read_bytes() for path in out.iterdir()})
         assert len(bundles[0]) == 5
         assert bundles[0] == bundles[1]
+
+    def test_svm_cubic_bundle_is_the_one_blas_thread_bundle_by_default(self, tmp_path):
+        # unset, the BLAS thread variables are pinned to 1 before numpy loads
+        data = tmp_path / "data.csv"
+        _run_skelhar(["synth", "--participants", "2", "--seed", "0", "-o", str(data)], "1")
+        bundles = []
+        for threads in (None, "1"):
+            out = tmp_path / f"threads{threads}"
+            _run_skelhar(["evaluate", str(data), "--classifier", "svm-cubic", "-o", str(out)],
+                         threads)
+            bundles.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(bundles[0]) == 5
+        assert bundles[0] == bundles[1]
+
+    @pytest.mark.parametrize("family", CLASSIFIER_NAMES)
+    def test_every_worker_count_gives_the_same_bundle(self, runner, dataset_file, tmp_path,
+                                                      monkeypatch, family):
+        # one CPU runs every fit in this process, the reference; 2 and 3 CPUs
+        # fork 1 and 2 fold workers
+        bundles, forked, forks = {}, {}, _count_forks(monkeypatch)
+        for cpus in (1, 2, 3):
+            _use_cpus(monkeypatch, cpus)
+            before = len(forks)
+            out = tmp_path / f"cpus{cpus}"
+            result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", family,
+                                          "--bagged-trees", "3", "--epochs", "5",
+                                          "-o", str(out)])
+            assert result.exit_code == 0, result.output
+            bundles[cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
+            forked[cpus] = len(forks) - before
+        assert sorted(bundles[1]) == ["config.json", "confusion.csv", "model.json",
+                                      "report.json", "scores.csv"]
+        assert bundles[2] == bundles[1] and bundles[3] == bundles[1]
+        assert forked == {1: 0, 2: 1, 3: 2}
+
+    def test_a_fold_that_fails_only_in_a_worker_fails_as_in_process(
+            self, runner, dataset_file, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("the k-NN trainer broke")
+
+        args = ["evaluate", str(dataset_file), "--classifier", "knn", "--joints", "c9"]
+        # the reference: on one CPU, with every fit broken
+        _use_cpus(monkeypatch, 1)
+        with monkeypatch.context() as patch:
+            patch.setitem(skelhar.classifiers._TRAINERS, FineKnnSpec, broken)
+            in_process = runner.invoke(main, args + ["-o", str(tmp_path / "in-process")])
+        assert in_process.exit_code == 1
+        assert in_process.stderr == "Error: the k-NN trainer broke\n"
+        assert not (tmp_path / "in-process").exists()
+
+        old = tmp_path / "old"
+        assert runner.invoke(main, args + ["--seed", "5", "-o", str(old)]).exit_code == 0
+        before = {path.name: path.read_bytes() for path in old.iterdir()}
+        _use_cpus(monkeypatch, 2)
+        for out in (old, tmp_path / "new"):
+            marker = tmp_path / f"{out.name} taken"
+            _fold_workers_fit_with(monkeypatch, marker, broken)
+            result = runner.invoke(main, args + ["-o", str(out)])
+            assert marker.exists()
+            assert (result.exit_code, result.stderr) == (1, in_process.stderr)
+        # the final fit succeeded and wrote its files, which are gone
+        assert {path.name: path.read_bytes() for path in old.iterdir()} == before
+        assert not (tmp_path / "new").exists()
+
+    def test_a_fold_worker_that_dies_is_named_with_its_fold(self, runner, dataset_file,
+                                                            tmp_path, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        _fold_workers_fit_with(monkeypatch, tmp_path / "taken", lambda: os._exit(3))
+        out = tmp_path / "bundle"
+        result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", "knn",
+                                      "--joints", "c9", "-o", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: fold 1/5: its fold worker stopped with exit code 3\n"
+        assert not out.exists()
+
+    def test_ctrl_c_during_the_folds_ends_every_fold_worker(self, runner, dataset_file,
+                                                            tmp_path, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        # three fold workers, each in a fold that would take a minute; the
+        # autouse fixture checks that they were ended and waited for
+        _use_cpus(monkeypatch, 4)
+        _fold_workers_fit_with(monkeypatch, tmp_path / "taken", lambda: time.sleep(60),
+                               interrupt)
+        out = tmp_path / "bundle"
+        start = time.monotonic()
+        result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", "knn",
+                                      "--joints", "c9", "-o", str(out)])
+        assert result.exit_code == 1
+        assert "Aborted!" in result.stderr
+        assert time.monotonic() - start < 30
+        assert not out.exists()
 
     @pytest.mark.parametrize("family", [f.name for f in FAMILIES])
     def test_bundle_json_is_the_stdlib_indent_2_sorted_layout(self, runner, dataset_file,
@@ -405,14 +537,14 @@ class TestGrid:
         assert errors[2].startswith("Error: cell 1/4 coordinates,c9,3,off,knn: k=100000 "
                                     "exceeds the")
 
-    @pytest.mark.parametrize("worker, problem", [
-        (_DIE_IN_THE_FIRST_CELL, "its grid worker stopped with exit code 3"),
-        (_FAIL_KNN_CELLS_LAST, "FineKnnSpec failed"),
+    @pytest.mark.parametrize("cell, problem", [
+        (_die_in_the_first_cell, "its grid worker stopped with exit code 3"),
+        (_fail_knn_cells_last, "FineKnnSpec failed"),
     ], ids=["dies", "fails"])
     def test_a_worker_failure_is_located_at_the_first_failing_cell(
-            self, runner, dataset_file, tmp_path, monkeypatch, worker, problem):
+            self, runner, dataset_file, tmp_path, monkeypatch, cell, problem):
         _use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(skelhar.cli, "_WORKER_ARGV", (sys.executable, "-c", worker))
+        monkeypatch.setattr(skelhar.gridworker, "run_cell", cell)
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, ["grid", str(dataset_file), "--classifier", "knn,lda",
                                       "--joints", "c9", "-o", str(out)])
@@ -423,13 +555,13 @@ class TestGrid:
     def test_a_matrix_s_cells_start_longest_first(self, runner, dataset_file, tmp_path,
                                                   monkeypatch):
         def record(message, file):
-            sent.append(type(message[0].classifier).__name__[:4])
+            if os.getpid() == command:  # the workers reply through it too
+                sent.append(type(message[0].classifier).__name__[:4])
             dump(message, file)
 
-        sent, dump = [], pickle.dump
+        sent, dump, command = [], pickle.dump, os.getpid()
         _use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(skelhar.cli, "_WORKER_ARGV",
-                            (sys.executable, "-c", _KNN_SLOW_LDA_LONG))
+        monkeypatch.setattr(skelhar.gridworker, "run_cell", _knn_slow_lda_long)
         monkeypatch.setattr(pickle, "dump", record)
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, ["grid", str(dataset_file), "--modality",
@@ -456,16 +588,24 @@ class TestGrid:
         assert "Aborted!" in result.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("cells, cpus, expected", [
-        (24, 2, (2, 1)),
-        (24, 1, (1, 1)),
-        (24, 8, (8, 1)),
-        (3, 64, (3, 21)),
-        (1, 64, (1, 64)),
-        (10**12, 10**6, (10**6, 1)),
-        (7, 10**30, (7, 10**30 // 7)),
+    @pytest.mark.parametrize("cells, cpus, blas_threads, expected", [
+        (24, 2, "1", 2),
+        (24, 1, "1", 1),
+        (24, 8, "1", 8),
+        (3, 64, "1", 3),
+        (1, 64, "1", 1),
+        (10**12, 10**6, "1", 10**6),
+        (7, 10**30, "1", 7),
+        (24, 8, "2", 4),
+        (24, 8, "3", 2),
+        (24, 2, "4", 1),
+        (24, 2, "0", 2),
+        (24, 2, "many", 2),
     ])
-    def test_workers_are_capped_at_the_cpus_and_the_cells(self, cells, cpus, expected):
+    def test_workers_are_capped_at_the_cpus_and_the_cells(self, monkeypatch, cells, cpus,
+                                                          blas_threads, expected):
+        # each worker gets as many CPUs as it runs BLAS threads
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
         assert _plan_workers(cells, cpus) == expected
 
     @pytest.mark.parametrize("cpus, axes", [
@@ -479,7 +619,7 @@ class TestGrid:
             raise AssertionError("grid started a process")
 
         _use_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, ["grid", str(dataset_file), "--joints", "c9", *axes,
                                       "--jobs", str(10**30), "-o", str(out)])
@@ -615,6 +755,24 @@ class TestGrid:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert all(len(row) == 7 for row in rows)
         assert [row[1] for row in rows] == expected
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("preset, expected", [
+        ({}, ["1", "1", "1"]),
+        ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "3", "3"]),
+        ({"OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "4"}, ["2", "2", "4"]),
+    ], ids=["unset", "openblas", "omp-mkl"])
+    def test_import_sets_one_thread_and_keeps_a_user_s_count(self, preset, expected):
+        # an unset variable takes the first count the user set
+        code = ("import os, skelhar, numpy; print(' '.join(os.environ[name] for name in "
+                f"{_BLAS_THREAD_VARS!r})); print(open('/proc/self/status').read())")
+        proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**preset),
+                              check=True, capture_output=True, text=True, timeout=120)
+        variables, status = proc.stdout.split("\n", 1)
+        assert variables.split() == expected
+        if not preset:  # numpy's OpenBLAS started no thread of its own
+            assert re.search(r"^Threads:\s+1$", status, re.M), status
 
 
 class TestConfigFile:
