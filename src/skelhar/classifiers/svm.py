@@ -324,12 +324,20 @@ class CubicSvmModel(TrainedModel):
         -0.0 and NaN stay distinct): a pool row of class a appears in every
         machine that pairs a, and the JSON writer formats it once."""
         rows: dict[bytes, list] = {}
+
+        def shared(r: np.ndarray) -> list:
+            key = r.tobytes()
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = r.tolist()
+            return row
+
         d = super().to_json_dict()
         d["machines"] = [
             {
                 "pos_label": m.pos_label,
                 "neg_label": m.neg_label,
-                "train_x": [rows.setdefault(r.tobytes(), r.tolist()) for r in m.train_x],
+                "train_x": [shared(r) for r in m.train_x],
                 "train_y": m.train_y.tolist(),
                 "alphas": m.alphas.tolist(),
                 "bias": m.bias,

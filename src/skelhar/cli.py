@@ -51,6 +51,7 @@ from .evaluation import (
     PipelineConfig,
     SplitPlan,
     StratifyBy,
+    error_text,
     run_matrix_experiment,
 )
 from .features import SUBSETS, Modality, parse_subset
@@ -280,8 +281,8 @@ def synth(participants, frames, noise, seed, output):
                          noise_sigma=noise, seed=seed)
         manifest = generate_synthetic(spec)
         write_dataset(manifest, output)
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    except (ValueError, OSError, MemoryError) as exc:
+        raise click.ClickException(error_text(exc)) from exc
     click.echo(f"wrote {len(manifest)} sequences x {frames} frames to {output}")
 
 
@@ -299,8 +300,8 @@ def extract(dataset, output, config_path, **flags):
         header = ",".join([f"f{i}" for i in range(matrix.n_features)] + ["label"])
         write_lines(output, header, (f"{row},{label}" for row, label
                                      in zip(format_sig9(matrix.rows), matrix.labels)))
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    except (ValueError, OSError, MemoryError) as exc:
+        raise click.ClickException(error_text(exc)) from exc
     click.echo(f"wrote {matrix.n_rows}x{matrix.n_features} feature matrix to {output}")
 
 
@@ -325,8 +326,8 @@ def evaluate(dataset, output, config_path, **flags):
         matrix = config.feature_matrix(read_dataset(dataset))
         result = run_matrix_experiment(config, matrix, out_dir=output,
                                        fold_workers=workers - 1)
-    except (ValueError, OSError, RuntimeError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        raise click.ClickException(error_text(exc)) from exc
     click.echo(f"validation accuracy: {result.report.overall_accuracy:.4f}")
     click.echo(f"cv accuracy:         {result.cv_report.overall_accuracy:.4f}")
     click.echo(f"report bundle:       {output}")
@@ -373,8 +374,9 @@ def _usable_cpus() -> int:
 
 def _plan_workers(tasks: int, cpus: int) -> int:
     """Worker processes for `tasks` tasks on `cpus` usable CPUs, each given
-    as many CPUs as it runs BLAS threads (see skelhar/__init__.py). One worker means the tasks run in the calling
-    process, as they do where os.fork is missing."""
+    as many CPUs as it runs BLAS threads (see skelhar/__init__.py). One
+    worker means the tasks run in the calling process, as they do where
+    os.fork is missing."""
     if not hasattr(os, "fork"):
         return 1
     try:
@@ -433,8 +435,8 @@ def _run_cells(cells, dataset: str, report, n_workers: int) -> None:
                     try:
                         matrix = None  # drop the last matrix before building the next
                         matrix = cells[queued].feature_matrix(manifest)
-                    except (ValueError, RuntimeError) as exc:
-                        outcomes[queued], stop = str(exc), queued
+                    except (ValueError, RuntimeError, MemoryError) as exc:
+                        outcomes[queued], stop = error_text(exc), queued
                         break
                     queued = end
                 pipe, n = idle.pop(), queue.pop(0)
@@ -510,8 +512,8 @@ def grid(dataset, output, config_path, **flags):
     try:
         _run_cells(cells, dataset, report, workers)
         write_lines(output, ",".join(_GRID_AXES) + ",cv_accuracy,validation_accuracy", rows)
-    except (ValueError, OSError, RuntimeError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        raise click.ClickException(error_text(exc)) from exc
     click.echo(f"wrote {len(cells)} grid rows to {output}")
 
 

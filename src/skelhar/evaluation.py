@@ -12,10 +12,11 @@ scored on the validation rows, and one fit per CV fold. The folds can run
 on forked fold workers (`_FoldTasks`) beside the final fit and the bundle
 write; grid cells and library callers run every fit in process.
 
-`write_json` streams the bundle's JSON files in the stdlib's
-indent=2, sort_keys layout: flat lists go through the C encoder in one
-call, and a list object shared by several parents (the SVM's row lists)
-is formatted once.
+`write_json` streams the bundle's JSON files in the stdlib's indent=2,
+sort_keys layout, except that a list of scalars takes one line, as
+json.dumps writes it (as LIBSVM's model file gives each support vector a
+line). Each such list is encoded by one C-encoder call, and a list object
+shared by several parents (the SVM's row lists) is encoded once.
 """
 
 from __future__ import annotations
@@ -321,7 +322,7 @@ class _FoldTasks:
         try:
             model = train_arrays(self.spec, self.matrix.rows[rest], self.matrix.labels[rest])
             return model.predict(self.matrix.rows[held])
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, MemoryError) as exc:
             return exc
 
     def _serve(self, requests, replies) -> None:
@@ -493,7 +494,7 @@ def run_matrix_experiment(config: PipelineConfig, matrix: FeatureMatrix,
                 if out is not None:
                     out.mkdir(parents=True, exist_ok=True)
                     _write_fit_files(result, part)
-            except (ValueError, RuntimeError, OSError) as exc:
+            except (ValueError, RuntimeError, OSError, MemoryError) as exc:
                 final_error = exc
             fold_predictions = folds.collect()
         if final_error is not None:
@@ -531,16 +532,35 @@ def run_experiment(config: PipelineConfig, manifest: DatasetManifest,
     return run_matrix_experiment(config, config.feature_matrix(manifest), out_dir)
 
 
+def error_text(exc: Exception) -> str:
+    """An error's message for the user. A MemoryError's says what ran out,
+    which numpy's "Unable to allocate ..." leaves unsaid."""
+    if isinstance(exc, MemoryError):
+        return f"out of memory: {exc}" if str(exc) else "out of memory"
+    return str(exc)
+
+
 _SCALARS = frozenset((float, int, str, bool, type(None)))
 
 
-def _count_flat_lists(obj, depth: int, uses: dict, active: set) -> None:
-    """Count the uses of each (flat list, depth) in obj, and raise what
-    json.dumps would raise: TypeError for a value it cannot encode (and for
-    any non-str key), ValueError for a circular reference."""
+def _is_scalar(value) -> bool:
+    return isinstance(value, (str, int, float)) or value is None  # bool is an int
+
+
+def _count_scalar_lists(obj, uses: dict, active: set) -> None:
+    """Count the uses of each scalar list in obj (a list or tuple that holds
+    no list, tuple or dict) by its identity, checking its items on its first
+    use only, and raise what json.dumps would raise: TypeError for a value
+    it cannot encode (and for any non-str key), ValueError for a circular
+    reference."""
     if isinstance(obj, (list, tuple)):
-        if _SCALARS.issuperset(map(type, obj)):  # one C pass, no per-item isinstance
-            uses[id(obj), depth] = uses.get((id(obj), depth), 0) + 1
+        key = id(obj)
+        if key in uses:  # a scalar list met before
+            uses[key] += 1
+            return
+        # the type check is one C pass; subclasses take the per-item check
+        if _SCALARS.issuperset(map(type, obj)) or all(map(_is_scalar, obj)):
+            uses[key] = 1
             return
         children = obj
     elif isinstance(obj, dict):
@@ -548,7 +568,7 @@ def _count_flat_lists(obj, depth: int, uses: dict, active: set) -> None:
         if bad:
             raise TypeError(f"keys must be str, not {type(bad[0]).__name__}")
         children = obj.values()
-    elif isinstance(obj, (str, int, float)) or obj is None:
+    elif _is_scalar(obj):
         return
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -556,52 +576,54 @@ def _count_flat_lists(obj, depth: int, uses: dict, active: set) -> None:
         raise ValueError("Circular reference detected")
     active.add(id(obj))
     for child in children:
-        _count_flat_lists(child, depth + 1, uses, active)
+        _count_scalar_lists(child, uses, active)
     active.remove(id(obj))
 
 
-def _json_chunks(obj, depth: int, uses: dict, texts: dict):
-    """Yield json.dumps(obj, indent=2, sort_keys=True) in pieces. A flat list
-    is encoded by one C-encoder call and its text kept only until its last
+def _emit(obj, depth: int, uses: dict, texts: dict, write: Callable[[str], object]) -> None:
+    """Write obj at depth in the bundle layout. A scalar list is one line,
+    encoded by one C-encoder call, and its text is kept only until its last
     use, so a list object shared by many parents is formatted once."""
-    outer = "\n" + "  " * depth
-    pad = outer + "  "
-    key = (id(obj), depth)
-    if key in uses:  # a flat list
-        text = texts.pop(key, None)
-        if text is None:
-            inner = json.dumps(obj, separators=("," + pad, ": "))[1:-1]
-            text = "[" + pad + inner + outer + "]" if obj else "[]"
+    key = id(obj)
+    if key in uses:  # a scalar list
+        text = texts.pop(key, None) or json.dumps(obj)
         uses[key] -= 1
         if uses[key]:
             texts[key] = text
-        yield text
+        write(text)
     elif isinstance(obj, (list, tuple, dict)) and obj:
-        is_dict = isinstance(obj, dict)
-        sep = "{" + pad if is_dict else "[" + pad
-        for item in (sorted(obj) if is_dict else obj):
-            if is_dict:
-                yield sep + json.dumps(item) + ": "
-                item = obj[item]
-            else:
-                yield sep
-            yield from _json_chunks(item, depth + 1, uses, texts)
-            sep = "," + pad
-        yield outer + ("}" if is_dict else "]")
+        outer = "\n" + "  " * depth
+        pad = outer + "  "
+        if isinstance(obj, dict):
+            sep = "{" + pad
+            for name in sorted(obj):
+                write(sep + json.dumps(name) + ": ")
+                _emit(obj[name], depth + 1, uses, texts, write)
+                sep = "," + pad
+            write(outer + "}")
+        else:
+            sep = "[" + pad
+            for item in obj:
+                write(sep)
+                _emit(item, depth + 1, uses, texts, write)
+                sep = "," + pad
+            write(outer + "]")
     else:  # a scalar or an empty dict
-        yield json.dumps(obj)
+        write(json.dumps(obj))
 
 
 def write_json(obj, path: Path) -> None:
-    """Stream exactly json.dumps(obj, indent=2, sort_keys=True) + "\\n" to path.
+    """Stream obj to path in the bundle layout: json.dumps(obj, indent=2,
+    sort_keys=True) + "\\n", except that a non-empty list or tuple that holds
+    no list, tuple or dict takes one line, as json.dumps(that_list) writes it.
 
     Every value is checked before the file is opened, so a TypeError or
     ValueError leaves no partial file behind. Dict keys must be str.
     """
     uses: dict = {}
-    _count_flat_lists(obj, 0, uses, set())
+    _count_scalar_lists(obj, uses, set())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.writelines(_json_chunks(obj, 0, uses, {}))
+        _emit(obj, 0, uses, {}, f.write)
         f.write("\n")
 
 

@@ -35,8 +35,8 @@ def run_cell(config: evaluation.PipelineConfig,
     start = time.perf_counter()
     try:
         result = evaluation.run_matrix_experiment(config, matrix)
-    except (ValueError, RuntimeError) as exc:
-        return str(exc)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        return evaluation.error_text(exc)
     return (result.cv_report.overall_accuracy, result.report.overall_accuracy,
             time.perf_counter() - start)
 

@@ -5,6 +5,7 @@ so that they share no code path with the implementations they check.
 """
 
 import heapq
+import json
 import math
 from pathlib import Path
 
@@ -612,3 +613,22 @@ def read_dataset_by_lines(path):
                 line=None if v.position is None else int(row_lines[lo + v.position]))
         sequences.append(seq)
     return DatasetManifest(tuple(sequences), FileIngest(str(Path(path))))
+
+
+def bundle_json_text(obj, depth=0):
+    """The bundle JSON layout, built whole as one string, without its final
+    newline: json.dumps(obj, indent=2, sort_keys=True), except that a list or
+    tuple with no list, tuple or dict among its items is json.dumps(obj)."""
+    if isinstance(obj, (list, tuple)):
+        if not any(isinstance(item, (list, tuple, dict)) for item in obj):
+            return json.dumps(obj)
+        brackets, lines = "[]", [bundle_json_text(item, depth + 1) for item in obj]
+    elif isinstance(obj, dict) and obj:
+        brackets = "{}"
+        lines = [json.dumps(key) + ": " + bundle_json_text(obj[key], depth + 1)
+                 for key in sorted(obj)]
+    else:
+        return json.dumps(obj)
+    indent = "  " * (depth + 1)
+    body = ",\n".join(indent + line for line in lines)
+    return brackets[0] + "\n" + body + "\n" + "  " * depth + brackets[1]

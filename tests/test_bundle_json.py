@@ -1,6 +1,7 @@
-"""The streaming bundle JSON writer produces the stdlib's indent=2,
-sort_keys text byte for byte, rejects what the stdlib rejects before it
-opens the file, and holds much less than the file in memory."""
+"""The streaming bundle JSON writer produces the bundle layout byte for
+byte: the stdlib's indent=2, sort_keys text, with each list of scalars on
+one line. It rejects what the stdlib rejects before it opens the file, and
+holds much less than the file in memory."""
 
 import enum
 import json
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import bundle_json_text
 from skelhar.evaluation import write_json
 
 
-def _stdlib_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+def _reference_bytes(obj) -> bytes:
+    return (bundle_json_text(obj) + "\n").encode("utf-8")
 
 
 _FLOATS = st.floats() | st.sampled_from(
@@ -51,21 +53,54 @@ def out(tmp_path):
     return tmp_path / "out.json"
 
 
-class TestStdlibEquality:
+class TestReferenceEquality:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=_documents())
-    def test_file_bytes_equal_json_dumps(self, out, doc):
+    def test_file_bytes_equal_the_reference(self, out, doc):
         for obj in (doc, doc["tree"]):
             write_json(obj, out)
-            assert out.read_bytes() == _stdlib_bytes(obj)
+            assert out.read_bytes() == _reference_bytes(obj)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=_documents())
+    def test_the_reference_holds_the_values_json_dumps_writes(self, doc):
+        text = bundle_json_text(doc)
+        assert (json.dumps(json.loads(text), indent=2, sort_keys=True)
+                == json.dumps(doc, indent=2, sort_keys=True))
+
+    def test_each_list_of_scalars_takes_one_line(self, out):
+        obj = {"b": [[1, 2.5], (None, "x", True)], "a": {"c": [], "d": {}, "e": [[]]},
+               "f": [{"g": 0.1}]}
+        write_json(obj, out)
+        assert out.read_text(encoding="utf-8") == "\n".join([
+            '{',
+            '  "a": {',
+            '    "c": [],',
+            '    "d": {},',
+            '    "e": [',
+            '      []',
+            '    ]',
+            '  },',
+            '  "b": [',
+            '    [1, 2.5],',
+            '    [null, "x", true]',
+            '  ],',
+            '  "f": [',
+            '    {',
+            '      "g": 0.1',
+            '    }',
+            '  ]',
+            '}',
+            '',
+        ])
 
     def test_float_and_int_subclasses_take_the_general_path(self, out):
         obj = {"row": [np.float64(-0.0), np.float64(0.1), 1.5, True],
                "value": np.float64(math.nan), "flag": False,
                "level": _Level.HIGH, "levels": [_Level.LOW, 3, [_Level.HIGH]]}
         write_json(obj, out)
-        assert out.read_bytes() == _stdlib_bytes(obj)
+        assert out.read_bytes() == _reference_bytes(obj)
 
     @pytest.mark.parametrize("obj", [
         {"a": [1, np.int64(2)]},
@@ -86,16 +121,16 @@ class TestStdlibEquality:
         assert not out.exists()
 
 
-def test_a_shared_list_is_encoded_once_per_depth(out):
+def test_a_shared_list_is_encoded_once_at_any_depth(out):
     shared = [0.1, -0.0, 2]
-    obj = {"a": [shared] * 5, "b": [[shared, shared]]}  # depths 2 and 3
+    obj = {"a": [shared] * 5, "b": [[shared, shared]], "c": shared}  # depths 2, 3 and 1
     encode = json.JSONEncoder.encode
     with mock.patch.object(json.JSONEncoder, "encode", autospec=True,
                            side_effect=encode) as spy:
         write_json(obj, out)
     assert [call.args[1] for call in spy.call_args_list
-            if isinstance(call.args[1], list)] == [shared, shared]
-    assert out.read_bytes() == _stdlib_bytes(obj)
+            if isinstance(call.args[1], list)] == [shared]
+    assert out.read_bytes() == _reference_bytes(obj)
 
 
 def test_unshared_rows_stream_in_a_fraction_of_the_file_size(tmp_path):

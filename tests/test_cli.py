@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import re
+import resource
 import subprocess
 import sys
 import threading
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from oracles import bundle_json_text
 
 import skelhar.classifiers
 import skelhar.cli
@@ -462,8 +464,7 @@ class TestEvaluate:
         assert not out.exists()
 
     @pytest.mark.parametrize("family", [f.name for f in FAMILIES])
-    def test_bundle_json_is_the_stdlib_indent_2_sorted_layout(self, runner, dataset_file,
-                                                              tmp_path, family):
+    def test_bundle_json_is_the_bundle_layout(self, runner, dataset_file, tmp_path, family):
         out = tmp_path / family
         result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", family,
                                       "--joints", "c9", "--bagged-trees", "3",
@@ -471,7 +472,41 @@ class TestEvaluate:
         assert result.exit_code == 0, result.output
         for name in ("report.json", "config.json", "model.json"):
             text = (out / name).read_text(encoding="utf-8")
-            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+            assert text == bundle_json_text(json.loads(text)) + "\n"
+
+
+class TestOutOfMemory:
+    """A size that cannot be allocated ends in a located exit 1, not a
+    traceback. The address-space limit is set in the child only."""
+
+    _LIMIT = 2 << 30  # bytes: room for the interpreter and numpy, not for the sizes
+
+    @staticmethod
+    def _limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (TestOutOfMemory._LIMIT,) * 2)
+
+    @pytest.mark.parametrize("args", [
+        ["evaluate", "{data}", "--classifier", "mlp", "--hidden", "100000000",
+         "--joints", "c9", "-o", "{out}"],
+        ["grid", "{data}", "--classifier", "knn,mlp", "--hidden", "100000000",
+         "--joints", "c9", "-o", "{out}"],
+        ["synth", "--participants", "1", "--frames", "100000000", "-o", "{out}"],
+    ], ids=["evaluate", "grid", "synth"])
+    def test_exits_1_naming_the_memory_and_writes_nothing(self, dataset_file, tmp_path,
+                                                           args):
+        out = tmp_path / "out"
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "skelhar",
+             *(a.format(data=dataset_file, out=out) for a in args)],
+            env=_fresh_env(), preexec_fn=self._limit_address_space,
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert re.match(r"Error: (cell \S+ \S+: )?out of memory: Unable to allocate ",
+                        proc.stderr.splitlines()[-1]), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert time.monotonic() - start < 20
+        assert not out.exists()
 
 
 class TestGrid:
