@@ -11,22 +11,19 @@ flat form of a default-built PipelineConfig; and the dataclasses check
 every bound, with a HyperparameterError reported as a usage error that
 names the flag.
 
-grid has one scheduler, _run_cells. It runs the cells in forked worker
-processes (skelhar.gridworker), or on one CPU in this process, and either
-way each cell through gridworker.run_cell. evaluate runs its CV folds on
-forked fold workers beside its final fit (run_matrix_experiment).
+grid and evaluate run their tasks through one queue, gridworker.Tasks,
+on forked workers: grid one task per cell, each through run_cell, and
+evaluate one per CV fold, which this process takes too once its final fit
+is done (run_matrix_experiment). On one CPU every task runs here.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
-import pickle
-import select
+import time
 from pathlib import Path
-from typing import BinaryIO
 
 import click
 
@@ -54,8 +51,8 @@ from .evaluation import (
     error_text,
     run_matrix_experiment,
 )
-from .features import SUBSETS, Modality, parse_subset
-from .gridworker import Worker, fork_worker, run_cell, serve
+from .features import SUBSETS, FeatureMatrix, Modality, parse_subset
+from .gridworker import Tasks, failed
 
 CLASSIFIER_NAMES = tuple(family.name for family in FAMILIES)
 _FAMILIES = {family.name: family for family in FAMILIES}
@@ -386,96 +383,16 @@ def _plan_workers(tasks: int, cpus: int) -> int:
     return max(1, min(tasks, cpus // blas_threads))
 
 
-def _worker_stopped(worker: Worker) -> str:
-    """A cell's error text when its worker died before it replied."""
-    return f"its grid worker stopped with exit code {worker.wait()}"
-
-
-def _run_cells(cells, dataset: str, report, n_workers: int) -> None:
-    """Run the cells on `n_workers` workers and report them in table order.
-
-    A worker is a forked process (gridworker.serve). One worker is this
-    process instead: a slot stands in for the worker's pipe, and reading its
-    reply runs the cell here through gridworker.run_cell, so that one
-    schedule serves every CPU count.
-
-    This process builds each matrix once and sends it to a worker only when
-    the worker's last cell used another. A matrix's cells start longest
-    first, by the seconds that the cell with the same PCA and classifier
-    took on an earlier matrix, so that no worker idles behind a long last
-    cell; a kind not timed yet starts first, in table order. After a failure
-    no later cell in table order starts, so the first failing cell in table
-    order is the one named. Every worker is ended and waited for on the way
-    out.
-    """
-    workers: dict[BinaryIO, Worker] = {}  # by the pipe it replies on
+def run_cell(config: PipelineConfig, matrix: FeatureMatrix) -> tuple[float, float, float] | str:
+    """(cv accuracy, validation accuracy, seconds) of one cell's experiment,
+    or the error text of a cell whose experiment raised."""
+    start = time.perf_counter()
     try:
-        for _ in range(n_workers if n_workers > 1 else 0):
-            worker = fork_worker(serve)
-            workers[worker.replies] = worker
-        manifest = read_dataset(dataset)  # after the forks: no worker copies it
-        outcomes: dict[int, tuple | str] = {}
-        busy: dict[BinaryIO | None, int] = {}  # worker -> the cell it runs
-        held: dict[BinaryIO | None, tuple] = {}  # worker -> the key of its last matrix
-        idle: list[BinaryIO | None] = list(workers) or [None]  # None: the in-process slot
-        took: dict[tuple, float] = {}  # (pca, classifier) -> seconds of its last cell
-        queue: list[int] = []  # the current matrix's cells that have not started
-        matrix_key, matrix = None, None
-        queued = reported = 0
-        stop = len(cells)  # the first failing cell: no cell from here on starts
-        while True:
-            queue = [n for n in queue if n < stop]
-            while idle and (queue or queued < stop):
-                if not queue:
-                    matrix_key, end = _matrix_key(cells[queued]), queued + 1
-                    while end < len(cells) and _matrix_key(cells[end]) == matrix_key:
-                        end += 1
-                    queue = sorted(range(queued, end), key=lambda n: -took.get(
-                        (cells[n].pca, cells[n].classifier), math.inf))
-                    try:
-                        matrix = None  # drop the last matrix before building the next
-                        matrix = cells[queued].feature_matrix(manifest)
-                    except (ValueError, RuntimeError, MemoryError) as exc:
-                        outcomes[queued], stop = error_text(exc), queued
-                        break
-                    queued = end
-                pipe, n = idle.pop(), queue.pop(0)
-                try:
-                    if pipe is not None:  # the in-process slot runs its cell when read
-                        pickle.dump((cells[n], None if held.get(pipe) == matrix_key
-                                     else matrix), workers[pipe].requests)
-                        workers[pipe].requests.flush()
-                except OSError:  # the worker has died
-                    outcomes[n], stop = _worker_stopped(workers[pipe]), min(stop, n)
-                    break
-                held[pipe], busy[pipe] = matrix_key, n
-            if not busy:
-                break
-            # the in-process slot is always ready, and as it is the only
-            # worker, no other matrix has been built since its cell was sent
-            for pipe in select.select(list(busy), [], [])[0] if workers else list(busy):
-                n = busy.pop(pipe)
-                try:
-                    outcomes[n] = run_cell(cells[n], matrix) if pipe is None else pickle.load(pipe)
-                    idle.append(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    outcomes[n] = _worker_stopped(workers[pipe])
-                if isinstance(outcomes[n], str):
-                    stop = min(stop, n)
-                else:
-                    took[cells[n].pca, cells[n].classifier] = outcomes[n][2]
-            while reported in outcomes and not isinstance(outcomes[reported], str):
-                report(reported, *outcomes.pop(reported))
-                reported += 1
-        if reported < len(cells):
-            # a cell before the first failure goes unrun only when every
-            # worker has died
-            first = min(n for n, outcome in outcomes.items() if isinstance(outcome, str))
-            raise click.ClickException(
-                f"cell {first + 1}/{len(cells)} {_cell_name(cells[first])}: {outcomes[first]}")
-    finally:
-        for worker in workers.values():
-            worker.end()
+        result = run_matrix_experiment(config, matrix)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        return error_text(exc)
+    return (result.cv_report.overall_accuracy, result.report.overall_accuracy,
+            time.perf_counter() - start)
 
 
 @main.command()
@@ -491,26 +408,53 @@ def grid(dataset, output, config_path, **flags):
 
     The axes --modality, --joints, --dims, --pca, and --classifier accept
     comma-separated value lists; all other parameters are fixed across the
-    grid. The cells run on one worker per usable CPU (at most one per
-    cell): forked worker processes, or, for one worker, this process. Rows
-    are in table order (modality outermost, classifier innermost), and each
-    cell reports on stderr in that order as it finishes; the table is
-    written once every cell has succeeded.
+    grid. Each cell is one task (gridworker.Tasks), taken in table order
+    by one forked worker per usable CPU (at most one per cell), or, for
+    one worker, by this process. A process builds the feature matrix of
+    the cell it takes unless its last cell used the same one, and keeps
+    only its last. Rows are in table order (modality outermost, classifier
+    innermost), and each cell reports on stderr in that order, once this
+    process has read its reply. The first failing cell in table order is
+    the one named, and the table is written once every cell has
+    succeeded.
     """
     values = _resolve(config_path, **flags)
     cells = [build_config({**values, **dict(zip(_GRID_AXES, combo))})
              for combo in itertools.product(*(_grid_axis(values, key) for key in _GRID_AXES))]
     workers = _plan_workers(len(cells), _usable_cpus())
     rows = []
+    key = matrix = None  # this process's last feature matrix
 
-    def report(n: int, cv: float, validation: float, seconds: float) -> None:
-        name = _cell_name(cells[n])
+    def run(n: int) -> tuple[float, float, float] | str:
+        nonlocal key, matrix
+        if _matrix_key(cells[n]) != key:
+            key = matrix = None  # drop the last matrix before building the next
+            try:
+                matrix = cells[n].feature_matrix(manifest)
+            except (ValueError, RuntimeError, MemoryError) as exc:
+                return error_text(exc)
+            key = _matrix_key(cells[n])
+        return run_cell(cells[n], matrix)
+
+    def report(n: int, outcome: tuple[float, float, float]) -> None:
+        name, (cv, validation, seconds) = _cell_name(cells[n]), outcome
         rows.append(f"{name},{cv:.6f},{validation:.6f}")
         click.echo(f"cell {n + 1}/{len(cells)} {name}: cv {cv:.3f}, validation "
                    f"{validation:.3f}, {seconds:.2f} s", err=True)
 
     try:
-        _run_cells(cells, dataset, report, workers)
+        manifest = read_dataset(dataset)  # before the forks: every worker reads it
+        # a command that runs cells holds the file pages its imports touched
+        # too, where a fork counts only those it touches: with two or more
+        # workers, every one is forked and this process only waits
+        forked = workers if workers > 1 else 0
+        with Tasks(len(cells), run) as tasks:
+            tasks.fork(forked)
+            outcomes = tasks.collect(report, take=not forked)
+        if failed(outcomes[-1]):
+            n = len(outcomes) - 1
+            raise click.ClickException(
+                f"cell {n + 1}/{len(cells)} {_cell_name(cells[n])}: {outcomes[n]}")
         write_lines(output, ",".join(_GRID_AXES) + ",cv_accuracy,validation_accuracy", rows)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         raise click.ClickException(error_text(exc)) from exc

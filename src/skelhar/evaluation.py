@@ -7,10 +7,11 @@ touched exactly once, by the final model, and produces the headline report.
 PCA, when enabled, is fitted on the train partition only. report.json
 labels which protocol produced each number.
 
-`run_matrix_experiment` runs an experiment's fits as tasks: the final fit,
-scored on the validation rows, and one fit per CV fold. The folds can run
-on forked fold workers (`_FoldTasks`) beside the final fit and the bundle
-write; grid cells and library callers run every fit in process.
+`run_matrix_experiment` runs an experiment's fits: the final fit, scored
+on the validation rows, and one task per CV fold on the queue of
+`gridworker.Tasks`. Forked workers can take folds while this process runs
+the final fit and the bundle write; grid cells and library callers run
+every fit in process.
 
 `write_json` streams the bundle's JSON files in the stdlib's indent=2,
 sort_keys layout, except that a list of scalars takes one line, as
@@ -23,11 +24,9 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import itertools
 import json
 import math
 import os
-import pickle
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -44,7 +43,7 @@ from .classifiers import (
 from .classifiers.base import check_integers
 from .dataset import DatasetManifest, format_sig9, write_lines
 from .features import FeatureMatrix, JointSubset, Modality, build_feature_matrix
-from .gridworker import fork_worker
+from .gridworker import Tasks
 from .pca import PcaModel, pca_fit, pca_transform
 from .skeleton import N_CLASSES, STATIONARY_LABELS, validate_sequence
 
@@ -256,113 +255,39 @@ def cross_validate(spec: ClassifierSpec, matrix: FeatureMatrix, folds: int = 5,
         if not sizes.all():
             raise ValueError(f"fold_assignment leaves fold {np.argmin(sizes)} empty")
 
-    with _FoldTasks(spec, matrix, fold_assignment, folds) as tasks:
-        return _cv_report(matrix.labels, fold_assignment, tasks.collect())
+    with Tasks(folds, _fold_task(spec, matrix, fold_assignment)) as tasks:
+        return _cv_report(matrix.labels, fold_assignment, tasks.collect(), folds)
 
 
-def _cv_report(labels: np.ndarray, assignment: np.ndarray,
-               fold_predictions: list[np.ndarray]) -> EvalReport:
-    """The out-of-fold report from every fold's predictions, in fold order."""
+def _fold_task(spec: ClassifierSpec, matrix: FeatureMatrix, assignment: np.ndarray):
+    """CV fold f as a task: the held-out rows' predictions of the model
+    trained on the other folds, or the error that raised."""
+    def run(fold: int) -> np.ndarray | Exception:
+        held = np.nonzero(assignment == fold)[0]
+        rest = np.nonzero(assignment != fold)[0]
+        try:
+            model = train_arrays(spec, matrix.rows[rest], matrix.labels[rest])
+            return model.predict(matrix.rows[held])
+        except (ValueError, RuntimeError, MemoryError) as exc:
+            return exc
+    return run
+
+
+def _cv_report(labels: np.ndarray, assignment: np.ndarray, outcomes: list,
+               folds: int) -> EvalReport:
+    """The out-of-fold report from the fold tasks' outcomes, in fold order.
+    Raise the error of the lowest failing fold, which comes last."""
+    if isinstance(outcomes[-1], str):  # its worker died
+        raise RuntimeError(f"fold {len(outcomes)}/{folds}: {outcomes[-1]}")
+    if isinstance(outcomes[-1], Exception):
+        raise outcomes[-1]
     predictions = np.empty(len(labels), dtype=np.int64)
     fold_accuracies = []
-    for f, pred in enumerate(fold_predictions):
+    for f, pred in enumerate(outcomes):
         held = np.nonzero(assignment == f)[0]
         predictions[held] = pred
         fold_accuracies.append(float(np.mean(pred == labels[held])))
     return compute_report(labels, predictions, tuple(fold_accuracies))
-
-
-class _FoldTasks:
-    """The CV folds of one experiment as fit tasks, run by this process and
-    by the fold workers that `fork` starts.
-
-    The fold numbers wait in one pipe, which every worker and this process
-    read, so a worker takes the next fold when it is free, and this process
-    runs the folds left once its own fits are done (collect). A worker
-    announces each fold it takes, then replies with the fold's predictions
-    or its error; it reads no requests. After a failure a process takes no
-    more folds: a later fold cannot change the error raised. Folds beyond
-    the 4 KB that a new pipe holds stay with this process.
-    """
-
-    _BYTES = 4  # of a fold number in the pipe
-
-    def __init__(self, spec: ClassifierSpec, matrix: FeatureMatrix, assignment: np.ndarray,
-                 folds: int):
-        self.spec, self.matrix, self.assignment, self.folds = spec, matrix, assignment, folds
-        self.workers = []
-        self.queue, write = os.pipe()
-        queued = min(folds, 4096 // self._BYTES)
-        os.write(write, b"".join(f.to_bytes(self._BYTES, "little") for f in range(queued)))
-        os.close(write)  # before any fork: an empty queue reads EOF
-        self.unqueued = range(queued, folds)
-
-    def __enter__(self) -> "_FoldTasks":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        os.close(self.queue)
-        for worker in self.workers:
-            worker.end()
-
-    def fork(self, workers: int) -> None:
-        for _ in range(workers):
-            self.workers.append(fork_worker(self._serve))
-
-    def _take(self):
-        """Fold numbers from the queue, until it is empty."""
-        while chunk := os.read(self.queue, self._BYTES):
-            yield int.from_bytes(chunk, "little")
-
-    def _outcome(self, fold: int) -> np.ndarray | Exception:
-        """The held-out rows' predictions of the model trained on the other
-        folds, or the error that raised."""
-        held = np.nonzero(self.assignment == fold)[0]
-        rest = np.nonzero(self.assignment != fold)[0]
-        try:
-            model = train_arrays(self.spec, self.matrix.rows[rest], self.matrix.labels[rest])
-            return model.predict(self.matrix.rows[held])
-        except (ValueError, RuntimeError, MemoryError) as exc:
-            return exc
-
-    def _serve(self, requests, replies) -> None:
-        """A fold worker."""
-        for fold in self._take():
-            pickle.dump(fold, replies)
-            replies.flush()
-            outcome = self._outcome(fold)
-            pickle.dump(outcome, replies)
-            replies.flush()
-            if isinstance(outcome, Exception):
-                return
-
-    def collect(self) -> list[np.ndarray]:
-        """Every fold's predictions, in fold order, once this process has run
-        the folds no worker started. Raise the lowest failing fold's error."""
-        outcomes: dict[int, np.ndarray | Exception] = {}
-        for fold in itertools.chain(self._take(), self.unqueued):
-            outcomes[fold] = self._outcome(fold)
-            if isinstance(outcomes[fold], Exception):
-                break
-        taken = {}  # fold -> the worker that announced it
-        for worker in self.workers:
-            with contextlib.suppress(EOFError, pickle.UnpicklingError):  # it exited
-                while True:
-                    fold = pickle.load(worker.replies)
-                    taken[fold] = worker
-                    outcomes[fold] = pickle.load(worker.replies)
-            worker.wait()
-        predictions = []
-        for fold in range(self.folds):
-            outcome = outcomes.get(fold)
-            if outcome is None:  # its worker died, announced or not
-                worker = taken.get(fold) or next(w for w in self.workers if w.wait())
-                raise RuntimeError(f"fold {fold + 1}/{self.folds}: its fold worker stopped "
-                                   f"with exit code {worker.wait()}")
-            if isinstance(outcome, Exception):
-                raise outcome
-            predictions.append(outcome)
-        return predictions
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +380,15 @@ def run_matrix_experiment(config: PipelineConfig, matrix: FeatureMatrix,
                           fold_workers: int = 0) -> ExperimentResult:
     """The experiment core, starting from an extracted feature matrix.
 
-    `fold_workers` forked processes run CV folds while this process runs
-    the final fit and writes every bundle file but report.json, under
-    temporary names (`<name>.tmp`); this process then runs the folds that
-    no worker has started. With no fold workers every fit runs here, in
-    the same order. The files are renamed into place only once every fit
-    has succeeded. A failure raises what running the fits in order raises:
-    the lowest failing fold's error, else the final fit's; it leaves no
-    bundle file and no worker.
+    `fold_workers` forked processes take CV folds from the task queue
+    (gridworker.Tasks) while this process runs the final fit and writes
+    every bundle file but report.json, under temporary names
+    (`<name>.tmp`); this process then takes the folds left. With no fold
+    workers every fit runs here, in the same order. The files are renamed
+    into place only once every fit has succeeded. A failure raises what
+    running the fits in order raises: the lowest failing fold's error,
+    else the final fit's. Once a fold has failed no further fold starts,
+    and a failure leaves no bundle file and no worker.
     """
     indices = split(matrix, config.split)
 
@@ -483,7 +409,7 @@ def run_matrix_experiment(config: PipelineConfig, matrix: FeatureMatrix,
         return parts[name]
 
     try:
-        with _FoldTasks(config.classifier, pool_matrix, assignment, config.folds) as folds:
+        with Tasks(config.folds, _fold_task(config.classifier, pool_matrix, assignment)) as folds:
             folds.fork(fold_workers)
             final_error = None
             try:
@@ -496,10 +422,9 @@ def run_matrix_experiment(config: PipelineConfig, matrix: FeatureMatrix,
                     _write_fit_files(result, part)
             except (ValueError, RuntimeError, OSError, MemoryError) as exc:
                 final_error = exc
-            fold_predictions = folds.collect()
+            cv_report = _cv_report(pool_matrix.labels, assignment, folds.collect(), config.folds)
         if final_error is not None:
             raise final_error
-        cv_report = _cv_report(pool_matrix.labels, assignment, fold_predictions)
         result = replace(result, cv_report=cv_report, report=replace(
             result.report, fold_accuracies=cv_report.fold_accuracies))
         if out is not None:

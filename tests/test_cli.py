@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import pickle
 import re
 import resource
 import subprocess
@@ -63,8 +62,8 @@ def dataset_file(tmp_path_factory, runner):
     return path
 
 
-# cells that tests run in place of gridworker.run_cell; the forked grid
-# workers inherit the patch
+# cells that tests run in place of cli.run_cell; the forked grid workers
+# inherit the patch
 def _die_in_the_first_cell(config, matrix):
     os._exit(3)
 
@@ -74,14 +73,6 @@ def _fail_knn_cells_last(config, matrix):
     if name == "FineKnnSpec":
         time.sleep(0.5)
     return f"{name} failed"
-
-
-def _knn_slow_lda_long(config, matrix):
-    """k-NN cells take 0.3 s and report 1 s; LDA cells report 2 s at once."""
-    knn = type(config.classifier).__name__ == "FineKnnSpec"
-    if knn:
-        time.sleep(0.3)
-    return 0.5, 0.5, 1.0 if knn else 2.0
 
 
 def _use_cpus(monkeypatch, n):
@@ -441,7 +432,29 @@ class TestEvaluate:
         result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", "knn",
                                       "--joints", "c9", "-o", str(out)])
         assert result.exit_code == 1
-        assert result.stderr == "Error: fold 1/5: its fold worker stopped with exit code 3\n"
+        assert result.stderr == "Error: fold 1/5: its worker stopped with exit code 3\n"
+        assert not out.exists()
+
+    def test_a_fold_that_fails_in_a_worker_starts_no_further_fold(self, runner, dataset_file,
+                                                                  tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("the k-NN trainer broke")
+
+        def in_command(spec, x, y):
+            if not fits:  # the final fit: once the worker, failed in fold 1, has exited
+                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+            fits.append(len(y))
+            return train(spec, x, y)
+
+        fits, forks = [], _count_forks(monkeypatch)
+        train = skelhar.classifiers._TRAINERS[FineKnnSpec]
+        _use_cpus(monkeypatch, 2)
+        _fold_workers_fit_with(monkeypatch, tmp_path / "taken", broken, in_command)
+        out = tmp_path / "bundle"
+        result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", "knn",
+                                      "--joints", "c9", "-o", str(out)])
+        assert (result.exit_code, result.stderr) == (1, "Error: the k-NN trainer broke\n")
+        assert len(fits) == 1  # the final fit, and no fold
         assert not out.exists()
 
     def test_ctrl_c_during_the_folds_ends_every_fold_worker(self, runner, dataset_file,
@@ -535,13 +548,15 @@ class TestGrid:
 
     def test_every_worker_count_gives_the_same_table(self, runner, dataset_file, tmp_path,
                                                      monkeypatch):
-        # one CPU runs the cells in this process, the reference
+        # one CPU runs the cells in this process, the reference; 2 and 3 CPUs
+        # fork as many workers, and this process runs no cell
         args = ["grid", str(dataset_file), "--modality", "coordinates,velocity",
                 "--joints", "c9", "--pca", "off,on", "--classifier", ",".join(CLASSIFIER_NAMES),
                 "--bagged-trees", "3", "--epochs", "5"]
-        tables, lines = {}, {}
+        tables, lines, forked, forks = {}, {}, {}, _count_forks(monkeypatch)
         for cpus in (1, 2, 3):
             _use_cpus(monkeypatch, cpus)
+            before = len(forks)
             out = tmp_path / f"cpus{cpus}.csv"
             result = runner.invoke(main, args + ["-o", str(out)])
             assert result.exit_code == 0, result.output
@@ -549,9 +564,11 @@ class TestGrid:
             # each cell's line, in table order, without its seconds
             lines[cpus] = [re.sub(r", \d+\.\d\d s$", "", line)
                            for line in result.stderr.splitlines()]
+            forked[cpus] = len(forks) - before
         assert len(tables[1].splitlines()) == 1 + 2 * 2 * len(CLASSIFIER_NAMES)
         assert tables[2] == tables[1] and tables[3] == tables[1]
         assert lines[2] == lines[1] and lines[3] == lines[1]
+        assert forked == {1: 0, 2: 2, 3: 3}
 
     def test_a_failing_cell_in_a_worker_is_named_as_in_process(self, runner, dataset_file,
                                                                tmp_path, monkeypatch):
@@ -573,13 +590,13 @@ class TestGrid:
                                     "exceeds the")
 
     @pytest.mark.parametrize("cell, problem", [
-        (_die_in_the_first_cell, "its grid worker stopped with exit code 3"),
+        (_die_in_the_first_cell, "its worker stopped with exit code 3"),
         (_fail_knn_cells_last, "FineKnnSpec failed"),
     ], ids=["dies", "fails"])
     def test_a_worker_failure_is_located_at_the_first_failing_cell(
             self, runner, dataset_file, tmp_path, monkeypatch, cell, problem):
         _use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(skelhar.gridworker, "run_cell", cell)
+        monkeypatch.setattr(skelhar.cli, "run_cell", cell)
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, ["grid", str(dataset_file), "--classifier", "knn,lda",
                                       "--joints", "c9", "-o", str(out)])
@@ -587,35 +604,36 @@ class TestGrid:
         assert result.stderr == f"Error: cell 1/2 coordinates,c9,3,off,knn: {problem}\n"
         assert not out.exists()
 
-    def test_a_matrix_s_cells_start_longest_first(self, runner, dataset_file, tmp_path,
-                                                  monkeypatch):
-        def record(message, file):
-            if os.getpid() == command:  # the workers reply through it too
-                sent.append(type(message[0].classifier).__name__[:4])
-            dump(message, file)
+    def test_a_failing_cell_ends_a_later_cell_that_runs(self, runner, dataset_file, tmp_path,
+                                                        monkeypatch):
+        def cell(config, matrix):
+            if type(config.classifier).__name__ == "LinearDiscriminantSpec":
+                marker.touch()
+                time.sleep(60)
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return "FineKnnSpec failed"
 
-        sent, dump, command = [], pickle.dump, os.getpid()
+        # k-NN's cell fails once the other worker runs LDA's, which would
+        # take a minute; the autouse fixture checks that its worker was ended
+        marker, deadline = tmp_path / "lda started", time.monotonic() + 60
         _use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(skelhar.gridworker, "run_cell", _knn_slow_lda_long)
-        monkeypatch.setattr(pickle, "dump", record)
+        monkeypatch.setattr(skelhar.cli, "run_cell", cell)
         out = tmp_path / "grid.csv"
-        result = runner.invoke(main, ["grid", str(dataset_file), "--modality",
-                                      "coordinates,velocity,acceleration",
-                                      "--classifier", "knn,lda", "--joints", "c9",
-                                      "-o", str(out)])
-        assert result.exit_code == 0, result.output
-        # the first matrix in table order; the second when only LDA has been
-        # timed, so the untimed k-NN goes first; the third by the times
-        assert sent == ["Fine", "Line", "Fine", "Line", "Line", "Fine"]
-        rows = out.read_text().splitlines()[1:]
-        assert [row.split(",")[4] for row in rows] == ["knn", "lda"] * 3
+        start = time.monotonic()
+        result = runner.invoke(main, ["grid", str(dataset_file), "--classifier", "knn,lda",
+                                      "--joints", "c9", "-o", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: cell 1/2 coordinates,c9,3,off,knn: FineKnnSpec failed\n"
+        assert time.monotonic() - start < 30
+        assert not out.exists()
 
     def test_ctrl_c_ends_every_worker(self, runner, dataset_file, tmp_path, monkeypatch):
         def interrupt(*args):
             raise KeyboardInterrupt
 
         _use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(skelhar.cli.select, "select", interrupt)
+        monkeypatch.setattr(skelhar.gridworker.select, "select", interrupt)
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, ["grid", str(dataset_file), "--classifier", "knn,lda",
                                       "--joints", "c9", "-o", str(out)])
