@@ -12,9 +12,9 @@ every bound, with a HyperparameterError reported as a usage error that
 names the flag.
 
 grid and evaluate run their tasks through one queue, gridworker.Tasks,
-on forked workers: grid one task per cell, each through run_cell, and
-evaluate one per CV fold, which this process takes too once its final fit
-is done (run_matrix_experiment). On one CPU every task runs here.
+on one forked worker per usable CPU, while this process waits: grid one
+task per cell, each through run_cell, and evaluate its final fit and one
+task per CV fold (run_matrix_experiment). On one CPU every task runs here.
 """
 
 from __future__ import annotations
@@ -310,19 +310,17 @@ def extract(dataset, output, config_path, **flags):
 def evaluate(dataset, output, config_path, **flags):
     """Run one experiment and persist its report bundle.
 
-    The cross-validation folds run on forked worker processes, one per
-    usable CPU beyond the first, while this process runs the final fit.
+    The final fit and the cross-validation folds are tasks, taken in that
+    order by one forked worker per usable CPU, or by this process on one.
     """
     values = _resolve(config_path, **flags)
     config = build_config(values)
-    # the final fit and the folds are the tasks; this process is one worker
     workers = _plan_workers(config.folds + 1, _usable_cpus())
     try:
         # read_dataset has already validated every sequence: skip
         # run_experiment's check, which serves direct API callers
         matrix = config.feature_matrix(read_dataset(dataset))
-        result = run_matrix_experiment(config, matrix, out_dir=output,
-                                       fold_workers=workers - 1)
+        result = run_matrix_experiment(config, matrix, out_dir=output, workers=workers)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         raise click.ClickException(error_text(exc)) from exc
     click.echo(f"validation accuracy: {result.report.overall_accuracy:.4f}")
@@ -444,13 +442,8 @@ def grid(dataset, output, config_path, **flags):
 
     try:
         manifest = read_dataset(dataset)  # before the forks: every worker reads it
-        # a command that runs cells holds the file pages its imports touched
-        # too, where a fork counts only those it touches: with two or more
-        # workers, every one is forked and this process only waits
-        forked = workers if workers > 1 else 0
-        with Tasks(len(cells), run) as tasks:
-            tasks.fork(forked)
-            outcomes = tasks.collect(report, take=not forked)
+        with Tasks(len(cells), run, workers) as tasks:
+            outcomes = tasks.collect(report)
         if failed(outcomes[-1]):
             n = len(outcomes) - 1
             raise click.ClickException(

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,22 +117,12 @@ class SynthSpec:
     frames_per_sequence: int = 60
     noise_sigma: float = 0.01
     seed: int = 0
-    gait_speed_range: dict[int, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_GAIT_SPEED_RANGES)
-    )
 
     def __post_init__(self):
         check_integers(self, "n_participants")
         check_integers(self, "frames_per_sequence", minimum=51)
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if set(self.gait_speed_range) != set(DYNAMIC_LABELS):
-            raise ValueError(
-                f"gait_speed_range must cover exactly the dynamic classes {DYNAMIC_LABELS}"
-            )
-        for label, (lo, hi) in self.gait_speed_range.items():
-            if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
-                raise ValueError(f"invalid speed range for class {label}: ({lo}, {hi})")
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +673,7 @@ def _generate_sequence(spec: SynthSpec, participant: int, label: int) -> Activit
     yaw = rng.uniform(-0.35, 0.35)
     home = np.array([rng.uniform(-1.0, 1.0), 0.0, rng.uniform(2.0, 4.0)])
     phase0 = rng.uniform(0.0, 2 * math.pi)
-    speed = rng.uniform(*spec.gait_speed_range[label]) if label in DYNAMIC_LABELS else 0.0
+    speed = rng.uniform(*DEFAULT_GAIT_SPEED_RANGES[label]) if label in DYNAMIC_LABELS else 0.0
     rate = _GAIT_PHASE_RATES.get(label, 0.0)
 
     n = spec.frames_per_sequence

@@ -7,11 +7,10 @@ touched exactly once, by the final model, and produces the headline report.
 PCA, when enabled, is fitted on the train partition only. report.json
 labels which protocol produced each number.
 
-`run_matrix_experiment` runs an experiment's fits: the final fit, scored
-on the validation rows, and one task per CV fold on the queue of
-`gridworker.Tasks`. Forked workers can take folds while this process runs
-the final fit and the bundle write; grid cells and library callers run
-every fit in process.
+`run_matrix_experiment` runs an experiment's fits as the tasks of one
+queue, `gridworker.Tasks`: task 0 is the final fit, scored on the
+validation rows, and task f + 1 is CV fold f. `evaluate` runs them on
+forked workers; grid cells and library callers run every fit in process.
 
 `write_json` streams the bundle's JSON files in the stdlib's indent=2,
 sort_keys layout, except that a list of scalars takes one line, as
@@ -273,17 +272,24 @@ def _fold_task(spec: ClassifierSpec, matrix: FeatureMatrix, assignment: np.ndarr
     return run
 
 
+def _result(outcome, name: str):
+    """A task's outcome, or raise its error: the exception it returned, or a
+    RuntimeError naming the task `name` whose worker died."""
+    if isinstance(outcome, str):
+        raise RuntimeError(f"{name}: {outcome}")
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _cv_report(labels: np.ndarray, assignment: np.ndarray, outcomes: list,
                folds: int) -> EvalReport:
     """The out-of-fold report from the fold tasks' outcomes, in fold order.
     Raise the error of the lowest failing fold, which comes last."""
-    if isinstance(outcomes[-1], str):  # its worker died
-        raise RuntimeError(f"fold {len(outcomes)}/{folds}: {outcomes[-1]}")
-    if isinstance(outcomes[-1], Exception):
-        raise outcomes[-1]
     predictions = np.empty(len(labels), dtype=np.int64)
     fold_accuracies = []
-    for f, pred in enumerate(outcomes):
+    for f, outcome in enumerate(outcomes):
+        pred = _result(outcome, f"fold {f + 1}/{folds}")
         held = np.nonzero(assignment == f)[0]
         predictions[held] = pred
         fold_accuracies.append(float(np.mean(pred == labels[held])))
@@ -377,18 +383,17 @@ class ExperimentResult:
 
 def run_matrix_experiment(config: PipelineConfig, matrix: FeatureMatrix,
                           out_dir: str | Path | None = None,
-                          fold_workers: int = 0) -> ExperimentResult:
+                          workers: int = 1) -> ExperimentResult:
     """The experiment core, starting from an extracted feature matrix.
 
-    `fold_workers` forked processes take CV folds from the task queue
-    (gridworker.Tasks) while this process runs the final fit and writes
-    every bundle file but report.json, under temporary names
-    (`<name>.tmp`); this process then takes the folds left. With no fold
-    workers every fit runs here, in the same order. The files are renamed
-    into place only once every fit has succeeded. A failure raises what
-    running the fits in order raises: the lowest failing fold's error,
-    else the final fit's. Once a fold has failed no further fold starts,
-    and a failure leaves no bundle file and no worker.
+    The fits are the tasks of one queue (gridworker.Tasks), run by
+    `workers` forked processes or, for one, here in task order. Task 0,
+    the final fit, trains on the train+test pool, scores the validation
+    rows and writes every bundle file but report.json as `<name>.tmp`;
+    task f + 1 is CV fold f. Once every fit has succeeded, this process
+    writes report.json.tmp and renames the five files into place. The
+    first failing fit in task order is raised and no later fit starts; a
+    failure leaves no bundle file and no worker.
     """
     indices = split(matrix, config.split)
 
@@ -399,43 +404,44 @@ def run_matrix_experiment(config: PipelineConfig, matrix: FeatureMatrix,
 
     pool_matrix = matrix.take(indices.pool)
     assignment = assign_folds(pool_matrix.labels, config.folds, config.seed)
+    fold = _fold_task(config.classifier, pool_matrix, assignment)
     truth = matrix.labels[indices.validation]
     out = None if out_dir is None else Path(out_dir)
     created = out is not None and not out.exists()
-    parts: dict[str, Path] = {}  # bundle file -> its temporary name
 
     def part(name: str) -> Path:
-        parts[name] = out / f"{name}.tmp"
-        return parts[name]
+        return out / f"{name}.tmp"
+
+    def final_fit() -> ExperimentResult | Exception:
+        try:
+            model = train_arrays(config.classifier, pool_matrix.rows, pool_matrix.labels)
+            pred, scores = model.predict_with_scores(matrix.rows[indices.validation])
+            result = ExperimentResult(compute_report(truth, pred), None, model, pca_model,
+                                      config, indices, scores, truth)
+            if out is not None:
+                out.mkdir(parents=True, exist_ok=True)
+                _write_fit_files(result, part)
+            return result
+        except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+            return exc
 
     try:
-        with Tasks(config.folds, _fold_task(config.classifier, pool_matrix, assignment)) as folds:
-            folds.fork(fold_workers)
-            final_error = None
-            try:
-                model = train_arrays(config.classifier, pool_matrix.rows, pool_matrix.labels)
-                pred, scores = model.predict_with_scores(matrix.rows[indices.validation])
-                result = ExperimentResult(compute_report(truth, pred), None, model, pca_model,
-                                          config, indices, scores, truth)
-                if out is not None:
-                    out.mkdir(parents=True, exist_ok=True)
-                    _write_fit_files(result, part)
-            except (ValueError, RuntimeError, OSError, MemoryError) as exc:
-                final_error = exc
-            cv_report = _cv_report(pool_matrix.labels, assignment, folds.collect(), config.folds)
-        if final_error is not None:
-            raise final_error
+        with Tasks(config.folds + 1, lambda n: fold(n - 1) if n else final_fit(),
+                   workers) as tasks:
+            outcomes = tasks.collect()
+        result = _result(outcomes[0], "final fit")
+        cv_report = _cv_report(pool_matrix.labels, assignment, outcomes[1:], config.folds)
         result = replace(result, cv_report=cv_report, report=replace(
             result.report, fold_accuracies=cv_report.fold_accuracies))
         if out is not None:
             _write_report(result, part)
-            while parts:
-                name, path = parts.popitem()
-                os.replace(path, out / name)
+            for name in _BUNDLE_FILES:
+                os.replace(part(name), out / name)
             created = False
     finally:
-        for path in parts.values():
-            path.unlink(missing_ok=True)
+        for name in _BUNDLE_FILES if out is not None else ():
+            with contextlib.suppress(OSError):  # the directory may be missing or a file
+                part(name).unlink()
         if created:
             with contextlib.suppress(OSError):
                 out.rmdir()
@@ -465,6 +471,7 @@ def error_text(exc: Exception) -> str:
     return str(exc)
 
 
+_BUNDLE_FILES = ("report.json", "confusion.csv", "scores.csv", "config.json", "model.json")
 _SCALARS = frozenset((float, int, str, bool, type(None)))
 
 

@@ -1,16 +1,16 @@
-"""One queue of tasks, run by this process and by the workers it forks.
+"""One queue of tasks, run by the workers it forks or by this process.
 
 Tasks holds the tasks run(0) ... run(count - 1). Their numbers wait in one
-pipe, which this process and every worker read, so each process takes the
-next task when it is free. A worker is a fork of the command, made once the
-tasks' inputs exist, so it starts at once with the command's modules and
-data instead of an interpreter that imports numpy. Every process runs BLAS
-on the threads that `import skelhar` set (one, unless the user chose a
-count), so workers share the CPUs by process. With no worker, every task
-runs in this process, through the same code.
+pipe, which every worker reads, so each worker takes the next task when it
+is free. A worker is a fork of the command, made once the tasks' inputs
+exist, so it starts at once with the command's modules and data instead of
+an interpreter that imports numpy. Every process runs BLAS on the threads
+that `import skelhar` set (one, unless the user chose a count), so workers
+share the CPUs by process. With one worker planned, no process is forked
+and every task runs in this process, through the same code.
 
 `skelhar grid` runs one task per cell (cli.grid), and `skelhar evaluate`
-one per CV fold (evaluation.run_matrix_experiment).
+its final fit and one task per CV fold (evaluation.run_matrix_experiment).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pickle
 import select
 import signal
 import traceback
-from typing import BinaryIO, Callable
+from typing import Callable
 
 _NUMBER = 4  # bytes of a task number in the queue
 _CHUNK = 4096  # bytes per write to the queue: at most PIPE_BUF, so each write is whole
@@ -44,7 +44,9 @@ def _read(fd: int, size: int) -> bytes:
 
 class Tasks:
     """The tasks run(0) ... run(count - 1), taken in task order from one
-    queue by this process (collect) and by the workers that `fork` starts.
+    queue by `workers` forked workers or, for one, by this process
+    (collect). This process runs no task beside workers: it holds the file
+    pages its imports touched, where a fork counts only those it touches.
 
     A task fails when its outcome is an error (failed). The process that
     ran it empties the queue, so no later task starts; as the queue is
@@ -58,7 +60,7 @@ class Tasks:
     to save, and waits for it.
     """
 
-    def __init__(self, count: int, run: Callable[[int], object]):
+    def __init__(self, count: int, run: Callable[[int], object], workers: int = 1):
         self.count, self.run = count, run
         self.workers: dict[int, int] = {}  # the pipe a worker replies on -> its pid
         self.exit_codes: dict[int, int] = {}  # pid -> exit code, once waited for
@@ -73,6 +75,16 @@ class Tasks:
                 queued = end
         os.close(write)  # before any fork: an empty queue reads EOF
         self.unqueued = range(queued, count)
+        try:
+            for _ in range(workers if workers > 1 else 0):
+                replies, write = os.pipe()
+                if (pid := os.fork()) == 0:
+                    self._serve(replies, write)
+                os.close(write)
+                self.workers[replies] = pid
+        except BaseException:
+            self.__exit__()
+            raise
 
     def __enter__(self) -> "Tasks":
         return self
@@ -84,34 +96,6 @@ class Tasks:
                 os.kill(pid, signal.SIGTERM)
             self._wait(pid)
             os.close(replies)
-
-    def fork(self, workers: int) -> None:
-        """Fork `workers` workers, each taking tasks until the queue is empty.
-
-        A worker has a session of its own, so Ctrl-C reaches only this
-        process, which ends its workers. It leaves through os._exit, with
-        code 0 once the queue is empty and 1 after printing what it raised,
-        so it never runs the caller's code after the fork or its exit
-        handlers. It is meant for a process that runs no other thread, as a
-        skelhar command does with BLAS on its default one thread.
-        """
-        for _ in range(workers):
-            replies, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    os.setsid()
-                    os.close(replies)
-                    with open(write, "wb") as file:
-                        self._serve(file)
-                    code = 0
-                except Exception:
-                    traceback.print_exc()
-                finally:
-                    os._exit(code)
-            os.close(write)
-            self.workers[replies] = pid
 
     def _wait(self, pid: int) -> int:
         """A worker's exit code, once it has exited."""
@@ -132,17 +116,32 @@ class Tasks:
                 pass
         return outcome
 
-    def _serve(self, replies: BinaryIO) -> None:
-        """A worker."""
-        for n in self._take():
-            reply = pickle.dumps((n, self._finish(n)))
-            replies.write(len(reply).to_bytes(_LENGTH, "little") + reply)
-            replies.flush()
+    def _serve(self, replies: int, write: int) -> None:
+        """A worker: it takes tasks until the queue is empty and replies on
+        `write`. It has a session of its own, so Ctrl-C reaches only the
+        command, which ends its workers. It leaves through os._exit, with
+        code 0 once the queue is empty and 1 after printing what it raised,
+        so it never runs the caller's code after the fork or its exit
+        handlers. Forking is meant for a process that runs no other thread,
+        as a skelhar command does with BLAS on its default one thread."""
+        code = 1
+        try:
+            os.setsid()
+            os.close(replies)
+            with open(write, "wb") as file:
+                for n in self._take():
+                    reply = pickle.dumps((n, self._finish(n)))
+                    file.write(len(reply).to_bytes(_LENGTH, "little") + reply)
+                    file.flush()
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
 
-    def collect(self, done: Callable[[int, object], None] = lambda n, outcome: None,
-                take: bool = True) -> list:
-        """Take tasks until the queue is empty or a failure is known (unless
-        `take` is false: tasks beyond the queue run here either way), and
+    def collect(self, done: Callable[[int, object], None] = lambda n, outcome: None) -> list:
+        """Take tasks until the queue is empty or a failure is known, unless
+        workers were forked (tasks beyond the queue run here either way), and
         read the workers' replies until every task below the lowest failing
         one has succeeded; the workers' later tasks cannot change that, and
         leaving the `with` block ends them.
@@ -180,7 +179,7 @@ class Tasks:
                     settle(*pickle.loads(reply))
             report()
 
-        for n in itertools.chain(self._take() if take else (), self.unqueued):
+        for n in itertools.chain(() if self.workers else self._take(), self.unqueued):
             if n > stop:
                 break
             settle(n, self._finish(n))

@@ -39,13 +39,48 @@ class PcaModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PcaModel":
-        return cls(
-            np.asarray(d["mean"], dtype=np.float64),
-            np.asarray(d["components"], dtype=np.float64),
-            np.asarray(d["eigenvalues"], dtype=np.float64),
-            int(d["retained_k"]),
-            float(d["variance_threshold"]),
-        )
+        """The model that `to_json_dict` wrote as d. A missing field, a mean
+        that is not a non-empty list of finite numbers, components and
+        eigenvalues not of shapes (n, n) and (n,) for a mean of n, a
+        retained_k that is not an integer in 1..n, or a variance_threshold
+        outside (0, 1] raises a ValueError naming the field."""
+        mean = _json_array(d, "mean")
+        n = len(mean) if mean.ndim == 1 else 0
+        if not n:
+            raise ValueError(f"pca model: mean must be a non-empty list, got shape {mean.shape}")
+        arrays = {name: _json_array(d, name) for name in ("components", "eigenvalues")}
+        for (name, array), shape in zip(arrays.items(), ((n, n), (n,))):
+            if array.shape != shape:
+                raise ValueError(f"pca model: {name} must have shape {shape} for a mean of "
+                                 f"{n}, got {array.shape}")
+        k, threshold = _json_field(d, "retained_k"), _json_field(d, "variance_threshold")
+        if type(k) is not int or not 1 <= k <= n:  # JSON gives exact types: a bool is no int
+            raise ValueError(f"pca model: retained_k must be an integer in 1..{n}, got {k!r}")
+        if type(threshold) not in (int, float) or not 0 < threshold <= 1:
+            raise ValueError(f"pca model: variance_threshold must be a number in (0, 1], "
+                             f"got {threshold!r}")
+        return cls(mean, arrays["components"], arrays["eigenvalues"], k, float(threshold))
+
+
+def _json_field(d: dict, name: str):
+    """d[name], or a ValueError naming the field."""
+    try:
+        return d[name]
+    except KeyError:
+        raise ValueError(f"pca model: missing field {name!r}") from None
+
+
+def _json_array(d: dict, name: str) -> np.ndarray:
+    """d[name] as a float64 array, or a ValueError naming the field unless
+    it is a number or a (nested) list of them, all finite."""
+    value = _json_field(d, name)
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise ValueError(f"pca model: {name} must hold finite numbers only")
+    return array.astype(np.float64)
 
 
 def pca_fit(rows: np.ndarray, variance_threshold: float = 0.95) -> PcaModel:

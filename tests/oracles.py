@@ -25,7 +25,7 @@ from skelhar import (
 from skelhar.classifiers.base import validate_training_data
 from skelhar.classifiers.mlp import BATCH_SIZE, _unpack, initial_weights
 from skelhar.classifiers.tree import _Node
-from skelhar.dataset import csv_columns
+from skelhar.dataset import DEFAULT_GAIT_SPEED_RANGES, csv_columns
 from skelhar.skeleton import MIN_SOURCE_FRAMES, N_JOINTS
 
 
@@ -520,7 +520,7 @@ def per_frame_sequence(spec, participant, label, rounded=True):
     home = np.array([rng.uniform(-1.0, 1.0), 0.0, rng.uniform(2.0, 4.0)])
     phase0 = rng.uniform(0.0, 2 * math.pi)
     dynamic = label >= 5
-    speed = rng.uniform(*spec.gait_speed_range[label]) if dynamic else 0.0
+    speed = rng.uniform(*DEFAULT_GAIT_SPEED_RANGES[label]) if dynamic else 0.0
     rate = (2 * math.pi / 14 if label == 9 else 2 * math.pi / 24) if dynamic else 0.0
 
     n = spec.frames_per_sequence

@@ -1,3 +1,4 @@
+import fcntl
 import hashlib
 import json
 import os
@@ -116,21 +117,22 @@ def _count_forks(monkeypatch) -> list[int]:
     return forks
 
 
-def _fold_workers_fit_with(monkeypatch, marker, in_worker, in_command=None):
-    """Patch the k-NN trainer: a fold worker touches `marker` and returns
-    in_worker(), and this process waits for the marker before its first fit
-    (the final one), so that a worker has taken fold 1 by then. This
-    process's fits then call in_command(), or train."""
-    command, train = os.getpid(), skelhar.classifiers._TRAINERS[FineKnnSpec]
+def _pool_rows(dataset_file) -> int:
+    """The train+test pool's rows in a c9 k-NN evaluate of dataset_file."""
+    config = build_config({**_PIPELINE_DEFAULTS, "classifier": "knn", "joints": "c9"})
+    matrix = config.feature_matrix(read_dataset(dataset_file))
+    return len(skelhar.evaluation.split(matrix, config.split).pool)
+
+
+def _knn_fits_with(monkeypatch, dataset_file, final=None, fold=None):
+    """Patch the k-NN trainer for a c9 k-NN evaluate of dataset_file: its
+    final fit, the one on the whole pool, calls final(spec, x, y) and each
+    fold's fit calls fold(spec, x, y); either, where None, trains. Forked
+    workers inherit the patch."""
+    pool, train = _pool_rows(dataset_file), skelhar.classifiers._TRAINERS[FineKnnSpec]
 
     def trainer(spec, x, y):
-        if os.getpid() != command:
-            marker.touch()
-            return in_worker()
-        deadline = time.monotonic() + 60
-        while not marker.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        return (in_command or train)(spec, x, y)
+        return ((final if len(y) == pool else fold) or train)(spec, x, y)
 
     monkeypatch.setitem(skelhar.classifiers._TRAINERS, FineKnnSpec, trainer)
 
@@ -378,7 +380,7 @@ class TestEvaluate:
     def test_every_worker_count_gives_the_same_bundle(self, runner, dataset_file, tmp_path,
                                                       monkeypatch, family):
         # one CPU runs every fit in this process, the reference; 2 and 3 CPUs
-        # fork 1 and 2 fold workers
+        # fork as many workers, and this process runs no fit
         bundles, forked, forks = {}, {}, _count_forks(monkeypatch)
         for cpus in (1, 2, 3):
             _use_cpus(monkeypatch, cpus)
@@ -393,63 +395,38 @@ class TestEvaluate:
         assert sorted(bundles[1]) == ["config.json", "confusion.csv", "model.json",
                                       "report.json", "scores.csv"]
         assert bundles[2] == bundles[1] and bundles[3] == bundles[1]
-        assert forked == {1: 0, 2: 1, 3: 2}
+        assert forked == {1: 0, 2: 2, 3: 3}
 
-    def test_a_fold_that_fails_only_in_a_worker_fails_as_in_process(
+    def test_a_fold_that_fails_in_a_worker_fails_as_in_process(
             self, runner, dataset_file, tmp_path, monkeypatch):
         def broken(*args):
             raise ValueError("the k-NN trainer broke")
 
         args = ["evaluate", str(dataset_file), "--classifier", "knn", "--joints", "c9"]
-        # the reference: on one CPU, with every fit broken
-        _use_cpus(monkeypatch, 1)
-        with monkeypatch.context() as patch:
-            patch.setitem(skelhar.classifiers._TRAINERS, FineKnnSpec, broken)
-            in_process = runner.invoke(main, args + ["-o", str(tmp_path / "in-process")])
-        assert in_process.exit_code == 1
-        assert in_process.stderr == "Error: the k-NN trainer broke\n"
-        assert not (tmp_path / "in-process").exists()
-
         old = tmp_path / "old"
         assert runner.invoke(main, args + ["--seed", "5", "-o", str(old)]).exit_code == 0
         before = {path.name: path.read_bytes() for path in old.iterdir()}
-        _use_cpus(monkeypatch, 2)
-        for out in (old, tmp_path / "new"):
-            marker = tmp_path / f"{out.name} taken"
-            _fold_workers_fit_with(monkeypatch, marker, broken)
-            result = runner.invoke(main, args + ["-o", str(out)])
-            assert marker.exists()
-            assert (result.exit_code, result.stderr) == (1, in_process.stderr)
-        # the final fit succeeded and wrote its files, which are gone
-        assert {path.name: path.read_bytes() for path in old.iterdir()} == before
-        assert not (tmp_path / "new").exists()
+        # the final fit succeeds and writes its files, which are gone; one
+        # CPU runs every fit in this process, the reference
+        _knn_fits_with(monkeypatch, dataset_file, fold=broken)
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            for out in (old, tmp_path / f"new{cpus}"):
+                result = runner.invoke(main, args + ["-o", str(out)])
+                assert (result.exit_code, result.stderr) == (
+                    1, "Error: the k-NN trainer broke\n")
+            assert {path.name: path.read_bytes() for path in old.iterdir()} == before
+            assert not (tmp_path / f"new{cpus}").exists()
 
-    def test_a_fold_worker_that_dies_is_named_with_its_fold(self, runner, dataset_file,
-                                                            tmp_path, monkeypatch):
-        _use_cpus(monkeypatch, 2)
-        _fold_workers_fit_with(monkeypatch, tmp_path / "taken", lambda: os._exit(3))
-        out = tmp_path / "bundle"
-        result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", "knn",
-                                      "--joints", "c9", "-o", str(out)])
-        assert result.exit_code == 1
-        assert result.stderr == "Error: fold 1/5: its worker stopped with exit code 3\n"
-        assert not out.exists()
-
-    def test_a_fold_that_fails_in_a_worker_starts_no_further_fold(self, runner, dataset_file,
-                                                                  tmp_path, monkeypatch):
-        def broken(*args):
+    def test_a_failing_final_fit_on_one_cpu_starts_no_fold(self, runner, dataset_file,
+                                                          tmp_path, monkeypatch):
+        def broken(spec, x, y):
+            fits.append(len(y))
             raise ValueError("the k-NN trainer broke")
 
-        def in_command(spec, x, y):
-            if not fits:  # the final fit: once the worker, failed in fold 1, has exited
-                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
-            fits.append(len(y))
-            return train(spec, x, y)
-
-        fits, forks = [], _count_forks(monkeypatch)
-        train = skelhar.classifiers._TRAINERS[FineKnnSpec]
-        _use_cpus(monkeypatch, 2)
-        _fold_workers_fit_with(monkeypatch, tmp_path / "taken", broken, in_command)
+        fits = []
+        _use_cpus(monkeypatch, 1)
+        monkeypatch.setitem(skelhar.classifiers._TRAINERS, FineKnnSpec, broken)
         out = tmp_path / "bundle"
         result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", "knn",
                                       "--joints", "c9", "-o", str(out)])
@@ -457,22 +434,101 @@ class TestEvaluate:
         assert len(fits) == 1  # the final fit, and no fold
         assert not out.exists()
 
-    def test_ctrl_c_during_the_folds_ends_every_fold_worker(self, runner, dataset_file,
-                                                            tmp_path, monkeypatch):
+    def test_the_final_fit_s_error_comes_before_a_fold_s(self, runner, dataset_file,
+                                                         tmp_path, monkeypatch):
+        # k exceeds the rows of every fit; the final fit's error names the pool's
+        pool = _pool_rows(dataset_file)
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier",
+                                          "knn", "--joints", "c9", "--knn-k", "100000",
+                                          "-o", str(out)])
+            assert (result.exit_code, result.stderr) == (
+                1, f"Error: k=100000 exceeds the {pool} training rows\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("task, message", [
+        ("final", "final fit: its worker stopped with exit code 3"),
+        ("fold", "fold 1/5: its worker stopped with exit code 3"),
+    ])
+    def test_a_worker_that_dies_is_named_with_its_fit(self, runner, dataset_file, tmp_path,
+                                                      monkeypatch, task, message):
+        def die(*args):
+            if os.getpid() == command:
+                raise AssertionError("the command ran a fit beside its workers")
+            os._exit(3)
+
+        command = os.getpid()
+        _use_cpus(monkeypatch, 2)
+        _knn_fits_with(monkeypatch, dataset_file, **{task: die})
+        out = tmp_path / "bundle"
+        result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", "knn",
+                                      "--joints", "c9", "-o", str(out)])
+        assert (result.exit_code, result.stderr) == (1, f"Error: {message}\n")
+        assert not out.exists()
+
+    def test_a_fold_that_fails_in_a_worker_starts_no_further_fold(self, runner, dataset_file,
+                                                                  tmp_path, monkeypatch):
+        def broken(spec, x, y):
+            os.write(log, b"f")
+            held = os.open(lock, os.O_RDWR | os.O_CREAT)
+            fcntl.flock(held, fcntl.LOCK_EX)  # released as this worker exits
+            marker.touch()
+            raise ValueError("the k-NN trainer broke")
+
+        def final(spec, x, y):
+            # once fold 1 has failed in the other worker and that worker has
+            # exited, so that this worker's next read finds the queue empty
+            deadline = time.monotonic() + 60
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            held = os.open(lock, os.O_RDWR | os.O_CREAT)
+            fcntl.flock(held, fcntl.LOCK_EX)
+            os.close(held)
+            os.write(log, b"F")
+            return train(spec, x, y)
+
+        lock, marker = tmp_path / "lock", tmp_path / "fold 1 failed"
+        train = skelhar.classifiers._TRAINERS[FineKnnSpec]
+        _use_cpus(monkeypatch, 2)
+        _knn_fits_with(monkeypatch, dataset_file, final, broken)
+        out = tmp_path / "bundle"
+        log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier",
+                                          "knn", "--joints", "c9", "-o", str(out)])
+        finally:
+            os.close(log)
+        assert (result.exit_code, result.stderr) == (1, "Error: the k-NN trainer broke\n")
+        assert sorted((tmp_path / "log").read_bytes()) == sorted(b"fF")  # and no fold 2
+        assert not out.exists()
+
+    def test_ctrl_c_during_the_fits_ends_every_worker(self, runner, dataset_file, tmp_path,
+                                                      monkeypatch):
+        def slow(*args):
+            (tmp_path / f"fit in {os.getpid()}").touch()
+            time.sleep(60)
+
         def interrupt(*args):
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.glob("fit in *"))) < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
             raise KeyboardInterrupt
 
-        # three fold workers, each in a fold that would take a minute; the
-        # autouse fixture checks that they were ended and waited for
+        # four workers, each in a fit that would take a minute, while this
+        # process waits; the autouse fixture checks that they were ended and
+        # waited for
         _use_cpus(monkeypatch, 4)
-        _fold_workers_fit_with(monkeypatch, tmp_path / "taken", lambda: time.sleep(60),
-                               interrupt)
+        _knn_fits_with(monkeypatch, dataset_file, slow, slow)
+        monkeypatch.setattr(skelhar.gridworker.select, "select", interrupt)
         out = tmp_path / "bundle"
         start = time.monotonic()
         result = runner.invoke(main, ["evaluate", str(dataset_file), "--classifier", "knn",
                                       "--joints", "c9", "-o", str(out)])
         assert result.exit_code == 1
         assert "Aborted!" in result.stderr
+        assert len(list(tmp_path.glob("fit in *"))) == 4
         assert time.monotonic() - start < 30
         assert not out.exists()
 

@@ -26,7 +26,7 @@ from skelhar import (
 )
 from skelhar.classifiers import HyperparameterError
 from skelhar.dataset import _generate_sequence, _quantize_sig9, csv_columns, format_sig9
-from conftest import make_sequence
+from postures import make_sequence
 from oracles import (
     format_sig9_by_text,
     per_frame_class_template,
@@ -465,8 +465,6 @@ class TestGenerateSynthetic:
             SynthSpec(noise_sigma=-0.1)
         with pytest.raises(ValueError):
             SynthSpec(n_participants=0)
-        with pytest.raises(ValueError):
-            SynthSpec(gait_speed_range={5: (0.01, 0.02)})
         for field, value in [("seed", 1.5), ("n_participants", 1.5),
                              ("n_participants", True), ("frames_per_sequence", 51.5)]:
             with pytest.raises(HyperparameterError) as info:
@@ -477,14 +475,6 @@ class TestGenerateSynthetic:
     def test_spec_rejects_non_finite_noise(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma"):
             SynthSpec(noise_sigma=sigma)
-
-    @pytest.mark.parametrize("bounds", [(0.02, math.inf), (math.nan, 0.03),
-                                        (0.02, math.nan), (math.inf, math.inf)])
-    def test_spec_rejects_non_finite_speed_range(self, bounds):
-        ranges = dict(SynthSpec().gait_speed_range)
-        ranges[7] = bounds
-        with pytest.raises(ValueError, match="class 7"):
-            SynthSpec(gait_speed_range=ranges)
 
 
 def _same_bits(a, b):

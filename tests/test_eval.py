@@ -358,7 +358,7 @@ class TestRunExperiment:
 
     def test_invalid_manifest_is_rejected(self, two_sequence_manifest):
         from skelhar import DatasetManifest, Synthetic
-        from conftest import make_sequence
+        from postures import make_sequence
 
         short = DatasetManifest((make_sequence(40),), Synthetic(0))
         with pytest.raises(ValueError, match="invalid sequence"):

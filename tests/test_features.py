@@ -12,7 +12,7 @@ from skelhar import (
     parse_subset,
     select_frames,
 )
-from conftest import grid_positions, make_frames, make_sequence
+from postures import grid_positions, make_frames, make_sequence
 from oracles import per_frame_posture_row
 
 

@@ -1,27 +1,21 @@
+import errno
 import os
 import time
+
+import pytest
 
 from skelhar.gridworker import Tasks
 
 
-def test_tasks_past_the_first_1024_run_once_each_on_a_worker_too(tmp_path):
+def test_tasks_past_the_first_1024_run_once_each_on_the_workers(tmp_path):
     def run(n):
         os.write(log, n.to_bytes(4, "little"))
-        if os.getpid() != command:
-            if n >= 1024:
-                marker.touch()
-        elif not first:  # hold this process until the worker has run a task past 1,024
-            first.append(n)
-            while not marker.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
         return n, os.getpid()
 
-    command, marker, first = os.getpid(), tmp_path / "past 1024", []
-    deadline = time.monotonic() + 60
+    command = os.getpid()
     log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     try:
-        with Tasks(2000, run) as tasks:
-            tasks.fork(1)
+        with Tasks(2000, run, 2) as tasks:
             outcomes = tasks.collect()
     finally:
         os.close(log)
@@ -29,7 +23,8 @@ def test_tasks_past_the_first_1024_run_once_each_on_a_worker_too(tmp_path):
     ran = (tmp_path / "log").read_bytes()
     assert sorted(int.from_bytes(ran[i:i + 4], "little")
                   for i in range(0, len(ran), 4)) == list(range(2000))
-    assert max(n for n, pid in outcomes if pid != command) >= 1024
+    # two or more workers: this process runs no task
+    assert command not in {pid for _, pid in outcomes}
 
 
 def test_a_failing_task_comes_last_and_no_later_task_starts():
@@ -53,9 +48,8 @@ def test_each_outcome_is_done_while_the_workers_still_run(tmp_path):
         return marker.exists()
 
     marker, deadline = tmp_path / "task 0 done", time.monotonic() + 60
-    with Tasks(2, run) as tasks:
-        tasks.fork(2)
-        outcomes = tasks.collect(lambda n, outcome: marker.touch(), take=False)
+    with Tasks(2, run, 2) as tasks:
+        outcomes = tasks.collect(lambda n, outcome: marker.touch())
     assert outcomes == [False, True]
 
 
@@ -67,8 +61,7 @@ def test_more_workers_than_cores_run_each_task_once(tmp_path):
     log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     start = time.monotonic()
     try:
-        with Tasks(3000, run) as tasks:
-            tasks.fork(min(len(os.sched_getaffinity(0)), 16) + 1)
+        with Tasks(3000, run, min(len(os.sched_getaffinity(0)), 16) + 1) as tasks:
             outcomes = tasks.collect()
     finally:
         os.close(log)
@@ -77,3 +70,20 @@ def test_more_workers_than_cores_run_each_task_once(tmp_path):
     assert sorted(int.from_bytes(ran[i:i + 4], "little")
                   for i in range(0, len(ran), 4)) == list(range(3000))
     assert time.monotonic() - start < 30
+
+
+def test_a_fork_that_fails_ends_the_workers_already_forked(monkeypatch):
+    def second_fails():
+        if forks:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", second_fails)
+    with pytest.raises(BlockingIOError):
+        Tasks(3, lambda n: time.sleep(60), 2)
+    # the autouse fixture checks that the first worker was ended and waited for
+    assert len(forks) == 1

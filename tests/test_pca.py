@@ -146,3 +146,29 @@ class TestSerialization:
         assert np.array_equal(again.components, model.components)
         assert np.array_equal(again.eigenvalues, model.eigenvalues)
         assert again.retained_k == model.retained_k
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("retained_k", 99, "retained_k must be an integer in 1..4, got 99"),
+        ("retained_k", "2", "retained_k must be an integer in 1..4, got '2'"),
+        ("retained_k", 2.9, "retained_k must be an integer in 1..4, got 2.9"),
+        ("retained_k", True, "retained_k must be an integer in 1..4, got True"),
+        ("components", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+         "components must have shape (4, 4) for a mean of 4, got (2, 4)"),
+        ("eigenvalues", [1.0, 0.5], "eigenvalues must have shape (4,) for a mean of 4"),
+        ("mean", [], "mean must be a non-empty list"),
+        ("mean", ["0", "0", "0", "0"], "mean must hold finite numbers only"),
+        ("mean", [0.0, 0.0, None, 0.0], "mean must hold finite numbers only"),
+        ("components", [[1.0, 0.0], [0.0]], "components must hold finite numbers only"),
+        ("variance_threshold", 1.5, "variance_threshold must be a number in (0, 1]"),
+        ("variance_threshold", "0.9", "variance_threshold must be a number in (0, 1]"),
+        ("mean", None, "missing field 'mean'"),
+    ])
+    def test_a_malformed_field_is_named(self, field, value, message):
+        d = pca_fit(np.random.default_rng(16).normal(size=(30, 4))).to_json_dict()
+        if value is None:
+            del d[field]
+        else:
+            d[field] = value
+        with pytest.raises(ValueError) as info:
+            PcaModel.from_json_dict(d)
+        assert str(info.value).startswith(f"pca model: {message}")

@@ -9,7 +9,7 @@ from skelhar import (
     JointId,
     validate_sequence,
 )
-from conftest import make_frames, make_sequence
+from postures import make_frames, make_sequence
 from oracles import per_frame_violations
 
 
